@@ -79,16 +79,8 @@ def run_cli(argv: list[str]) -> int:
         if args.command == "dupes":
             return _emit_and_exit(args, _dupes_tables(_load_corpus(args.root)))
         if args.command == "stats":
-            corpus = _load_corpus(args.root)
-            return _emit_and_exit(args, [
-                report.model_stats_table(_model_stats(corpus)),
-                report.name_stats_table(_name_stats(corpus)),
-                report.contact_table([bundles.contact_markers(e.text)
-                                      for e in corpus.entries if e.text is not None]),
-                report.licenses_table([(e.record.source_name,
-                                        bundles.detect_license(e.record.root_dir))
-                                       for e in corpus.entries]),
-            ])
+            # stats lists scan's last four tables in reverse
+            return _emit_and_exit(args, _stats_tables(_load_corpus(args.root))[::-1])
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -122,22 +114,33 @@ class _Corpus:
     entries: list[_Entry] = field(default_factory=list)
 
 
+def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnostic]]:
+    """Read, validate and sanity-check one URDF file.
+
+    Returns (bytes, model, diagnostics); a file that cannot be read has
+    no bytes and no model, and one F diagnostic saying why.
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+        return None, None, [Diagnostic("error", "F", "document", f"cannot read file: {reason}")]
+    result = validate(raw)
+    diags = result.diagnostics
+    if result.model is not None:
+        diags = diags + kinematic_sanity(result.model)
+    return raw, result.model, diags
+
+
 def _load_corpus(root: Path) -> _Corpus:
     records = bundles.scan_corpus(root)
     corpus = _Corpus(root=root if not (root / "urdf_files").is_dir() else root / "urdf_files")
     for record in records:
-        text = None
-        model = None
-        diags: list[Diagnostic] = []
+        raw, model, diags = None, None, []
         urdf = record.urdf_file
         if record.urdf_path != Path() and urdf.is_file():
-            raw = urdf.read_bytes()
-            text = raw.decode("utf-8", errors="replace")
-            result = validate(raw)
-            model = result.model
-            diags = result.diagnostics
-            if model is not None:
-                diags = diags + kinematic_sanity(model)
+            raw, model, diags = _analyze(urdf)
+        text = None if raw is None else raw.decode("utf-8", errors="replace")
         corpus.entries.append(_Entry(record, text, model, diags))
     return corpus
 
@@ -161,10 +164,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     failed = False
     for file in files:
         rel = file.relative_to(path).as_posix() if path.is_dir() else file.name
-        result = validate(file.read_bytes())
-        diags = list(result.diagnostics)
-        if result.model is not None:
-            diags += kinematic_sanity(result.model)
+        _, _, diags = _analyze(file)
         if any(d.severity == "error" for d in diags):
             failed = True
         rows.extend((rel, d) for d in diags)
@@ -177,13 +177,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if not path.is_file():
         print(f"error: {path} does not exist", file=sys.stderr)
         return EXIT_IO
-    result = validate(path.read_bytes())
-    if result.model is None:
-        _emit_tables(args, [report.parsing_errors_table(
-            [(path.name, d) for d in result.diagnostics])])
+    _, model, diags = _analyze(path)
+    if model is None:
+        _emit_tables(args, [report.parsing_errors_table([(path.name, d) for d in diags])])
         return EXIT_INVALID
-    table = report.model_info_table(
-        [(path.name, result.model, bundles.mesh_inventory(result.model))])
+    table = report.model_info_table([(path.name, model, bundles.mesh_inventory(model))])
     _emit_tables(args, [table])
     return EXIT_OK
 
@@ -197,10 +195,6 @@ def _corpus_tables(args: argparse.Namespace, corpus: _Corpus) -> list[report.Rep
     diag_rows = [(e.rel_file, d) for e in corpus.entries for d in e.diagnostics]
     mesh_rows = [(e.record.source_name, bundles.mesh_inventory(e.model))
                  for e in corpus.entries if e.model is not None]
-    license_rows = [(e.record.source_name, bundles.detect_license(e.record.root_dir))
-                    for e in corpus.entries]
-    contact_rows = [bundles.contact_markers(e.text)
-                    for e in corpus.entries if e.text is not None]
     return [
         report.structures_table(structure_rows),
         report.xacro_table(xacro_rows),
@@ -208,22 +202,23 @@ def _corpus_tables(args: argparse.Namespace, corpus: _Corpus) -> list[report.Rep
         report.mesh_types_table(mesh_rows),
         *_dupes_tables(corpus),
         _discrepancies(args, corpus),
-        report.licenses_table(license_rows),
-        report.contact_table(contact_rows),
-        report.name_stats_table(_name_stats(corpus)),
-        report.model_stats_table(_model_stats(corpus)),
+        *_stats_tables(corpus),
     ]
 
 
-def _name_stats(corpus: _Corpus) -> list[tuple[str, dict[str, int]]]:
-    return [(e.record.source_name,
-             bundles.name_substring_stats(e.model, ["world", "flange"]))
-            for e in corpus.entries if e.model is not None]
-
-
-def _model_stats(corpus: _Corpus) -> dict[str, tuple[int, int]]:
-    return bundles.model_stats([(e.record, e.model)
-                                for e in corpus.entries if e.model is not None])
+def _stats_tables(corpus: _Corpus) -> list[report.ReportTable]:
+    """The licenses, contact, name_stats and model_stats tables, in scan's order."""
+    parsed = [e for e in corpus.entries if e.model is not None]
+    return [
+        report.licenses_table([(e.record.source_name, bundles.detect_license(e.record.root_dir))
+                               for e in corpus.entries]),
+        report.contact_table([bundles.contact_markers(e.text)
+                              for e in corpus.entries if e.text is not None]),
+        report.name_stats_table([(e.record.source_name,
+                                  bundles.name_substring_stats(e.model, ["world", "flange"]))
+                                 for e in parsed]),
+        report.model_stats_table(bundles.model_stats([(e.record, e.model) for e in parsed])),
+    ]
 
 
 def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:

@@ -1,9 +1,10 @@
 """Identical-file detection after whitespace/line-ending normalization.
 
 Text files are compared with spaces and tabs removed and every line
-break rewritten as CRLF; binary files are compared verbatim.  Grouping
-runs in three stages (normalized size, MD5 digest, byte-by-byte
-confirmation) so the digest never decides membership on its own.
+break rewritten as CRLF; binary files are compared verbatim.  One read
+of each file yields its normalized size and MD5 digest together; files
+that share both are then compared byte by byte, so the digest never
+decides membership on its own.
 """
 
 from __future__ import annotations

@@ -139,6 +139,66 @@ def _unit_axis(joint: Joint) -> np.ndarray:
     return axis / np.linalg.norm(axis)
 
 
+@dataclass(frozen=True)
+class _JointGraph:
+    """What build_tree and kinematic_sanity need to know of a joint graph.
+
+    Edges run from a declared parent link; a joint naming an undeclared
+    parent only counts toward its child's parent joints.
+    """
+
+    children: dict[str, list[tuple[Joint, str]]]
+    roots: list[str]  # links that are no joint's child, in document order
+    shared: list[str]  # links that are the child of several joints, in document order
+    reached_again: list[str]  # links the walk from the roots meets a second time, in that order
+    unreachable: list[str]  # links the walk from the roots never meets, sorted
+    cycle: bool  # some links form a directed cycle
+
+
+def _joint_graph(model: RobotModel) -> _JointGraph:
+    children: dict[str, list[tuple[Joint, str]]] = {link.name: [] for link in model.links}
+    parents: dict[str, int] = {}
+    for joint in model.joints:
+        if joint.parent in children:
+            children[joint.parent].append((joint, joint.child))
+        parents[joint.child] = parents.get(joint.child, 0) + 1
+    roots = [link.name for link in model.links if link.name not in parents]
+
+    reached: set[str] = set()
+    reached_again: list[str] = []
+    stack = list(roots)
+    while stack:
+        name = stack.pop()
+        if name in reached:
+            reached_again.append(name)
+            continue
+        if name in children:
+            reached.add(name)
+            stack.extend(child for _, child in children[name])
+
+    # Peel links whose parents are all peeled; what is left lies on or below a cycle.
+    waiting = {name: 0 for name in children}
+    for edges in children.values():
+        for _, child in edges:
+            if child in waiting:
+                waiting[child] += 1
+    ready = [name for name, count in waiting.items() if not count]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for _, child in children[ready.pop()]:
+            if child in waiting:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    ready.append(child)
+
+    return _JointGraph(children=children, roots=roots,
+                       shared=[name for name in children if parents.get(name, 0) > 1],
+                       reached_again=reached_again,
+                       unreachable=sorted(name for name in children if name not in reached),
+                       cycle=peeled < len(waiting))
+
+
 def build_tree(model: RobotModel) -> KinematicTree:
     """Assemble the rooted tree; expects a model that passed validation.
 
@@ -146,11 +206,7 @@ def build_tree(model: RobotModel) -> KinematicTree:
     Rejects multi-root, cyclic and disconnected graphs, and moving
     joints whose axis is the zero vector.
     """
-    link_names = [link.name for link in model.links]
-    known = set(link_names)
-    children: dict[str, list[tuple[Joint, str]]] = {name: [] for name in link_names}
-    child_set: set[str] = set()
-
+    known = {link.name for link in model.links}
     for joint in model.joints:
         if joint.parent not in known or joint.child not in known:
             raise TreeError("disconnected",
@@ -158,31 +214,21 @@ def build_tree(model: RobotModel) -> KinematicTree:
         if joint.kind in SCALAR_KINDS and not np.linalg.norm(joint.axis):
             raise TreeError("zero_axis",
                             f"moving joint '{joint.name}' has a zero axis")
-        children[joint.parent].append((joint, joint.child))
-        child_set.add(joint.child)
 
-    roots = [name for name in link_names if name not in child_set]
-    if not roots:
+    graph = _joint_graph(model)
+    if not graph.roots:
         raise TreeError("cycle", "every link is some joint's child; the graph has a cycle")
-    if len(roots) > 1:
-        raise TreeError("multiple_roots", f"multiple root links: {', '.join(roots)}")
-    root = roots[0]
-
-    visited: set[str] = set()
-    stack = [root]
-    while stack:
-        name = stack.pop()
-        if name in visited:
-            raise TreeError("cycle", f"link '{name}' is reached more than once")
-        visited.add(name)
-        stack.extend(child for _, child in children[name])
-    if len(visited) != len(known):
-        missing = sorted(known - visited)
+    if len(graph.roots) > 1:
+        raise TreeError("multiple_roots", f"multiple root links: {', '.join(graph.roots)}")
+    root = graph.roots[0]
+    if graph.reached_again:
+        raise TreeError("cycle", f"link '{graph.reached_again[0]}' is reached more than once")
+    if graph.unreachable:
         raise TreeError("disconnected",
-                        f"links not reachable from root '{root}': {', '.join(missing)}")
+                        f"links not reachable from root '{root}': {', '.join(graph.unreachable)}")
 
     actuated = tuple(j for j in model.joints if j.kind in SCALAR_KINDS)
-    frozen = {name: tuple(edges) for name, edges in children.items()}
+    frozen = {name: tuple(edges) for name, edges in graph.children.items()}
     return KinematicTree(root=root, children=frozen, actuated=actuated)
 
 

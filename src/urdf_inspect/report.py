@@ -12,7 +12,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterable, Sequence
 
 from .bundles import ContactMarkers, LicenseId, MeshInventory, StructureClass
 from .compare import DiscrepancyReport
@@ -86,22 +86,24 @@ def write_tables(tables: list[ReportTable], format: str, out_dir: Path) -> list[
 # --------------------------------------------------------------------------
 
 
+def _per_source_table(name: str, columns: Sequence[str],
+                       rows: Iterable[tuple[str, dict[str, int]]]) -> ReportTable:
+    """Per-source sums of the named counts, one row per source in sorted
+    order, then a total row."""
+    per_source: dict[str, dict[str, int]] = {}
+    for source, counts in rows:
+        bucket = per_source.setdefault(source, dict.fromkeys(columns, 0))
+        for column in columns:
+            bucket[column] += counts.get(column, 0)
+    out = [(source, *(per_source[source][c] for c in columns)) for source in sorted(per_source)]
+    out.append(("total", *(sum(b[c] for b in per_source.values()) for c in columns)))
+    return ReportTable(name, ("source", *columns), tuple(out))
+
+
 def structures_table(rows: list[tuple[str, StructureClass]]) -> ReportTable:
     """Folder-structure counts per source, with a total row."""
-    classes = [c.value for c in StructureClass]
-    per_source: dict[str, dict[str, int]] = {}
-    for source, cls in rows:
-        bucket = per_source.setdefault(source, {})
-        bucket[cls.value] = bucket.get(cls.value, 0) + 1
-    out = []
-    total = {c: 0 for c in classes}
-    for source in sorted(per_source):
-        counts = per_source[source]
-        out.append((source, *(counts.get(c, 0) for c in classes)))
-        for c in classes:
-            total[c] += counts.get(c, 0)
-    out.append(("total", *(total[c] for c in classes)))
-    return ReportTable("structures", ("source", *classes), tuple(out))
+    return _per_source_table("structures", [c.value for c in StructureClass],
+                             ((source, {cls.value: 1}) for source, cls in rows))
 
 
 def xacro_table(rows: list[tuple[str, bool, bool]]) -> ReportTable:
@@ -109,27 +111,11 @@ def xacro_table(rows: list[tuple[str, bool, bool]]) -> ReportTable:
 
     Row input: (source, generated by the dataset authors, banner found).
     """
-    per_source: dict[str, list[int]] = {}
-    for source, by_dataset, banner in rows:
-        bucket = per_source.setdefault(source, [0, 0, 0])
-        if by_dataset:
-            bucket[0] += 1
-        elif banner:
-            bucket[1] += 1
-        else:
-            bucket[2] += 1
-    out = []
-    total = [0, 0, 0]
-    for source in sorted(per_source):
-        counts = per_source[source]
-        out.append((source, *counts))
-        total = [t + c for t, c in zip(total, counts)]
-    out.append(("total", *total))
-    return ReportTable(
-        "xacro",
-        ("source", "by_us_using_xacro", "by_others_using_xacro", "by_others_without_xacro"),
-        tuple(out),
-    )
+    columns = ("by_us_using_xacro", "by_others_using_xacro", "by_others_without_xacro")
+    return _per_source_table(
+        "xacro", columns,
+        ((source, {columns[0 if by_dataset else 1 if banner else 2]: 1})
+         for source, by_dataset, banner in rows))
 
 
 def parsing_errors_table(rows: list[tuple[str, Diagnostic]]) -> ReportTable:
@@ -167,20 +153,8 @@ def mesh_types_table(rows: list[tuple[str, MeshInventory]]) -> ReportTable:
 
 
 def licenses_table(rows: list[tuple[str, LicenseId]]) -> ReportTable:
-    ids = [l.value for l in LicenseId]
-    per_source: dict[str, dict[str, int]] = {}
-    for source, license_id in rows:
-        bucket = per_source.setdefault(source, {})
-        bucket[license_id.value] = bucket.get(license_id.value, 0) + 1
-    out = []
-    total = {i: 0 for i in ids}
-    for source in sorted(per_source):
-        counts = per_source[source]
-        out.append((source, *(counts.get(i, 0) for i in ids)))
-        for i in ids:
-            total[i] += counts.get(i, 0)
-    out.append(("total", *(total[i] for i in ids)))
-    return ReportTable("licenses", ("source", *ids), tuple(out))
+    return _per_source_table("licenses", [l.value for l in LicenseId],
+                             ((source, {license_id.value: 1}) for source, license_id in rows))
 
 
 def contact_table(markers: list[ContactMarkers]) -> ReportTable:
@@ -194,20 +168,7 @@ def contact_table(markers: list[ContactMarkers]) -> ReportTable:
 
 def name_stats_table(rows: list[tuple[str, dict[str, int]]],
                      terms: tuple[str, ...] = ("world", "flange")) -> ReportTable:
-    per_source: dict[str, dict[str, int]] = {}
-    for source, stats in rows:
-        bucket = per_source.setdefault(source, {t: 0 for t in terms})
-        for term in terms:
-            bucket[term] += stats.get(term, 0)
-    out = []
-    total = {t: 0 for t in terms}
-    for source in sorted(per_source):
-        counts = per_source[source]
-        out.append((source, *(counts[t] for t in terms)))
-        for t in terms:
-            total[t] += counts[t]
-    out.append(("total", *(total[t] for t in terms)))
-    return ReportTable("name_stats", ("source", *terms), tuple(out))
+    return _per_source_table("name_stats", terms, rows)
 
 
 def model_stats_table(stats: dict[str, tuple[int, int]]) -> ReportTable:

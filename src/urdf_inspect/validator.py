@@ -11,13 +11,15 @@ fails when any error-severity diagnostic is present.  Error codes:
     F  XML parsing failed
 
 Warnings never fail a file; W_UNDEFINED_MATERIAL flags a visual whose
-material name is defined nowhere in the document.
+material name is defined nowhere in the document.  The CLI also reports
+a file it cannot read as F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .kinematics import _joint_graph
 from .model import JointKind, ParseFailure, RobotModel, parse_urdf
 
 __all__ = ["Diagnostic", "ValidationResult", "validate", "kinematic_sanity"]
@@ -34,17 +36,6 @@ class Diagnostic:
     message: str
     line: int = 0
     column: int = 0
-
-    def as_record(self, file: str = "") -> dict:
-        """Flat record for report serialization."""
-        return {
-            "file": file,
-            "severity": self.severity,
-            "code": self.code,
-            "subject": self.subject,
-            "line": self.line,
-            "message": self.message,
-        }
 
 
 @dataclass
@@ -135,65 +126,23 @@ def kinematic_sanity(model: RobotModel) -> list[Diagnostic]:
     """Warn about structurally odd joint graphs; never errors.
 
     Expects a model that passed validate.  Reports multiple roots,
-    cycles, and links unreachable from the root.
+    cycles, links unreachable from the root and links that are the
+    child of several joints.
     """
-    diags: list[Diagnostic] = []
     if not model.links:
-        return diags
-
-    children: dict[str, list[str]] = {link.name: [] for link in model.links}
-    child_links: set[str] = set()
-    for joint in model.joints:
-        if joint.parent in children:
-            children[joint.parent].append(joint.child)
-        child_links.add(joint.child)
-
-    roots = [link.name for link in model.links if link.name not in child_links]
-    if len(roots) > 1:
-        diags.append(Diagnostic(WARNING, "W_OTHER", ", ".join(roots),
-                                f"{len(roots)} root links (no unique base)"))
-
-    reached: set[str] = set()
-    for root in roots:
-        stack = [root]
-        while stack:
-            name = stack.pop()
-            if name in reached or name not in children:
-                continue
-            reached.add(name)
-            stack.extend(children[name])
-
-    # Gray/black depth-first search over the whole graph: meeting a link
-    # that is still on the stack closes a directed cycle.  Detached
-    # components are searched too, so cycles off the root are found.
-    color: dict[str, int] = {}
-    cycle_found = not roots
-    for start in children:
-        if color.get(start, 0):
-            continue
-        color[start] = 1
-        walk = [(start, iter(children[start]))]
-        while walk:
-            node, edges = walk[-1]
-            advanced = False
-            for nxt in edges:
-                state = color.get(nxt, 0)
-                if state == 1:
-                    cycle_found = True
-                elif state == 0 and nxt in children:
-                    color[nxt] = 1
-                    walk.append((nxt, iter(children[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                walk.pop()
-
-    unreached = [name for name in children if name not in reached]
-    if cycle_found:
+        return []
+    graph = _joint_graph(model)
+    diags: list[Diagnostic] = []
+    if len(graph.roots) > 1:
+        diags.append(Diagnostic(WARNING, "W_OTHER", ", ".join(graph.roots),
+                                f"{len(graph.roots)} root links (no unique base)"))
+    if graph.cycle or not graph.roots:
         diags.append(Diagnostic(WARNING, "W_OTHER", model.name or "robot",
                                 "joint graph contains a cycle"))
-    if roots and unreached:
-        diags.append(Diagnostic(WARNING, "W_OTHER", ", ".join(sorted(unreached)),
-                                f"{len(unreached)} links unreachable from root"))
+    if graph.roots and graph.unreachable:
+        diags.append(Diagnostic(WARNING, "W_OTHER", ", ".join(graph.unreachable),
+                                f"{len(graph.unreachable)} links unreachable from root"))
+    for name in graph.shared:
+        diags.append(Diagnostic(WARNING, "W_OTHER", name,
+                                f"link '{name}' is the child of several joints"))
     return diags

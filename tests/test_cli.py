@@ -42,6 +42,16 @@ class TestValidateCommand:
     def test_missing_path_exits_three(self, tmp_path):
         assert run_cli(["validate", str(tmp_path / "ghost.urdf")]) == 3
 
+    def test_directory_named_urdf_is_an_f_row(self, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "ok.urdf").write_text(LISTING1)
+        (tree / "x.urdf").mkdir()
+        out = tmp_path / "out"
+        assert run_cli(["--out", str(out), "validate", str(tree)]) == 1
+        assert read_csv(out / "parsing_errors.csv")[1:] == [
+            ["x.urdf", "error", "F", "document", "0", "cannot read file: Is a directory"]]
+
     def test_usage_error_exits_two(self, capsys):
         assert run_cli([]) == 2
         assert run_cli(["frob"]) == 2
@@ -103,6 +113,23 @@ class TestScanCommand:
     def test_missing_root_exits_three(self, tmp_path):
         assert run_cli(["scan", str(tmp_path / "nope")]) == 3
 
+    def test_unreadable_urdf_is_an_f_row(self, small_corpus, tmp_path, monkeypatch):
+        read_bytes = Path.read_bytes
+
+        def failing(path):
+            if path.name == "gripper.urdf":
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", failing)
+        out = tmp_path / "reports"
+        assert run_cli(["--out", str(out), "scan", str(small_corpus)]) == 0
+        rows = [row for row in read_csv(out / "parsing_errors.csv")[1:]
+                if row[0] == "alpha/gripper_description"]
+        assert rows == [["alpha/gripper_description", "error", "F", "document", "0",
+                         "cannot read file: Permission denied"]]
+        assert {p.stem for p in out.glob("*.csv")} == EXPECTED_TABLES
+
     def test_two_runs_byte_identical(self, small_corpus, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         run_cli(["--out", str(out1), "scan", str(small_corpus)])
@@ -143,3 +170,13 @@ class TestStatsCommand:
             "model_stats", "name_stats", "contact", "licenses"}
         stats = {row[0]: row for row in read_csv(out / "model_stats.csv")[1:]}
         assert stats["robotic arm"][1:] == ["3", "2"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stats_tables_match_scan(self, small_corpus, tmp_path, fmt):
+        stats, scan = tmp_path / "stats", tmp_path / "scan"
+        assert run_cli(["--format", fmt, "--out", str(stats), "stats", str(small_corpus)]) == 0
+        assert run_cli(["--format", fmt, "--out", str(scan), "scan", str(small_corpus)]) == 0
+        names = sorted(p.name for p in stats.iterdir())
+        assert len(names) == 4
+        for name in names:
+            assert (stats / name).read_bytes() == (scan / name).read_bytes()

@@ -1,3 +1,6 @@
+from hypothesis import example, given, strategies as st
+
+from urdf_inspect.kinematics import TreeError, build_tree
 from urdf_inspect.model import parse_urdf
 from urdf_inspect.validator import kinematic_sanity, validate
 
@@ -171,3 +174,45 @@ class TestKinematicSanity:
     def test_validated_model_never_aborts(self, listing1):
         result = validate(listing1)
         assert isinstance(kinematic_sanity(result.model), list)
+
+    def test_link_with_two_parent_joints_warns(self):
+        text = ('<robot name="r"><link name="a"/><link name="b"/><link name="c"/>'
+                '<link name="d"/>'
+                + joint("fixed", name="j1", parent="a", child="b")
+                + joint("fixed", name="j2", parent="a", child="c")
+                + joint("fixed", name="j3", parent="b", child="d")
+                + joint("fixed", name="j4", parent="c", child="d")
+                + "</robot>")
+        diags = kinematic_sanity(validate(text).model)
+        assert [(d.code, d.subject, d.message) for d in diags] == [
+            ("W_OTHER", "d", "link 'd' is the child of several joints")]
+
+
+def graph_urdf(links: int, edges: list[tuple[int, int, str]]) -> str:
+    body = "".join(f'<link name="l{i}"/>' for i in range(links))
+    body += "".join(joint(kind, name=f"j{n}", parent=f"l{p}", child=f"l{c}")
+                    for n, (p, c, kind) in enumerate(edges))
+    return f'<robot name="r">{body}</robot>'
+
+
+@st.composite
+def joint_graphs(draw):
+    links = draw(st.integers(1, 6))
+    index = st.integers(0, links - 1)
+    edges = draw(st.lists(st.tuples(index, index, st.sampled_from(["fixed", "continuous"])),
+                          max_size=8))
+    return links, edges
+
+
+@given(joint_graphs())
+@example((4, [(0, 1, "fixed"), (0, 2, "fixed"), (1, 3, "fixed"), (2, 3, "fixed")]))
+def test_build_tree_fails_iff_sanity_warns(graph):
+    # fixed and continuous joints need no limit and default to a non-zero axis
+    model = validate(graph_urdf(*graph)).model
+    assert model is not None
+    try:
+        build_tree(model)
+        rejected = False
+    except TreeError:
+        rejected = True
+    assert rejected == bool(kinematic_sanity(model))
