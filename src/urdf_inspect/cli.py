@@ -138,7 +138,7 @@ def _load_corpus(root: Path) -> _Corpus:
     for record in records:
         raw, model, diags = None, None, []
         urdf = record.urdf_file
-        if record.urdf_path != Path() and urdf.is_file():
+        if record.urdf_path != Path() and urdf.exists():
             raw, model, diags = _analyze(urdf)
         text = None if raw is None else raw.decode("utf-8", errors="replace")
         corpus.entries.append(_Entry(record, text, model, diags))
@@ -174,7 +174,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     path: Path = args.path
-    if not path.is_file():
+    if not path.exists():
         print(f"error: {path} does not exist", file=sys.stderr)
         return EXIT_IO
     _, model, diags = _analyze(path)

@@ -89,22 +89,19 @@ class Transform:
 
 @dataclass(frozen=True)
 class KinematicTree:
+    """``joints``: every joint in depth-first preorder from the root, siblings
+    by joint name (ties in document order); ``actuated``: its moving joints,
+    in that order, which configurations follow.  Neither depends on the
+    order in which the file declares links and joints."""
+
     root: str
-    children: dict[str, tuple[tuple[Joint, str], ...]]
+    children: dict[str, tuple[tuple[Joint, str], ...]]  # by parent link, in document order
     actuated: tuple[Joint, ...]
+    joints: tuple[Joint, ...]
 
     def leaves(self) -> list[str]:
-        """Leaf links in depth-first preorder from the root."""
-        out: list[str] = []
-        stack = [self.root]
-        while stack:
-            name = stack.pop()
-            edges = self.children.get(name, ())
-            if not edges:
-                out.append(name)
-            else:
-                stack.extend(child for _, child in reversed(edges))
-        return out
+        """Leaf links in the order of ``joints``."""
+        return [j.child for j in self.joints if not self.children.get(j.child)] or [self.root]
 
 
 @dataclass(frozen=True)
@@ -126,17 +123,6 @@ def _rpy_matrix(rpy: Sequence[float]) -> np.ndarray:
     ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
     rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
     return rz @ ry @ rx
-
-def _axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    # Rodrigues rotation about a unit axis.
-    x, y, z = axis
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-
-
-def _unit_axis(joint: Joint) -> np.ndarray:
-    axis = np.asarray(joint.axis, dtype=float)
-    return axis / np.linalg.norm(axis)
 
 
 @dataclass(frozen=True)
@@ -227,41 +213,54 @@ def build_tree(model: RobotModel) -> KinematicTree:
         raise TreeError("disconnected",
                         f"links not reachable from root '{root}': {', '.join(graph.unreachable)}")
 
-    actuated = tuple(j for j in model.joints if j.kind in SCALAR_KINDS)
-    frozen = {name: tuple(edges) for name, edges in graph.children.items()}
-    return KinematicTree(root=root, children=frozen, actuated=actuated)
+    def by_name(link: str) -> list[Joint]:  # popped first by name, ties in document order
+        return sorted((joint for joint, _ in graph.children[link]), key=lambda j: j.name)[::-1]
+
+    joints: list[Joint] = []
+    stack = by_name(root)
+    while stack:
+        joints.append(stack.pop())
+        stack += by_name(joints[-1].child)
+    return KinematicTree(root=root, children={n: tuple(e) for n, e in graph.children.items()},
+                         actuated=tuple(j for j in joints if j.kind in SCALAR_KINDS),
+                         joints=tuple(joints))
 
 
-def _motion(joint: Joint, value: float) -> Transform:
-    if joint.kind in ROTATIONAL:
-        return Transform(_axis_angle_matrix(_unit_axis(joint), value), np.zeros(3))
-    if joint.kind is JointKind.PRISMATIC:
-        return Transform(np.eye(3), _unit_axis(joint) * value)
-    if joint.kind in (JointKind.FLOATING, JointKind.PLANAR):
-        raise UnsupportedJoint(joint.name, joint.type_name)
-    # fixed joints and unrecognized kinds do not move
-    return Transform.identity()
+def _frames(tree: KinematicTree, q: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Rotation (S, 3, 3) and translation (S, 3) of every link, where row s
+    of ``q`` (S, len(tree.actuated)) is one configuration of ``tree.actuated``."""
+    frames = {tree.root: (np.tile(np.eye(3), (len(q), 1, 1)), np.zeros((len(q), 3)))}
+    values = iter(q.T)
+    for joint in tree.joints:
+        if joint.kind in (JointKind.FLOATING, JointKind.PLANAR):
+            raise UnsupportedJoint(joint.name, joint.type_name)
+        base_r, base_t = frames[joint.parent]
+        rot = base_r @ _rpy_matrix(joint.origin.rpy)
+        trans = base_r @ np.asarray(joint.origin.xyz, dtype=float) + base_t
+        if joint.kind in SCALAR_KINDS:  # fixed joints do not move
+            axis = np.asarray(joint.axis, dtype=float) / np.linalg.norm(joint.axis)
+            value = next(values)
+            if joint.kind is JointKind.PRISMATIC:
+                trans = trans + (rot @ axis) * value[:, None]
+            else:  # Rodrigues rotation about the unit axis
+                x, y, z = axis
+                k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+                angle = value[:, None, None]
+                rot = rot @ (np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k))
+        frames[joint.child] = (rot, trans)
+    return frames
 
 
 def forward_kinematics(tree: KinematicTree, model: RobotModel,
                        q: JointConfig | Sequence[float]) -> dict[str, Transform]:
-    """Frame of every link; the root frame is the identity."""
+    """Frame of every link, given one value per joint of ``tree.actuated``;
+    the root frame is the identity."""
     values = tuple(q.values) if isinstance(q, JointConfig) else tuple(q)
     if len(values) != len(tree.actuated):
         raise ValueError(f"configuration has {len(values)} values, "
                          f"tree has {len(tree.actuated)} actuated joints")
-    index = {id(joint): i for i, joint in enumerate(tree.actuated)}
-
-    frames = {tree.root: Transform.identity()}
-    stack = [tree.root]
-    while stack:
-        name = stack.pop()
-        base = frames[name]
-        for joint, child in tree.children.get(name, ()):
-            value = values[index[id(joint)]] if id(joint) in index else 0.0
-            frames[child] = base @ Transform.from_pose(joint.origin) @ _motion(joint, value)
-            stack.append(child)
-    return frames
+    rows = np.array(values, dtype=float).reshape(1, -1)
+    return {name: Transform(rot[0], trans[0]) for name, (rot, trans) in _frames(tree, rows).items()}
 
 
 @dataclass(frozen=True)
@@ -289,9 +288,12 @@ def _sample_range(joint: Joint) -> tuple[float, float]:
     return -1.0, 1.0
 
 
-def _rotation_angle(ra: np.ndarray, rb: np.ndarray) -> float:
-    cos = (np.trace(ra.T @ rb) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, cos)))
+def _rotation_angle(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Angle between rotations (..., 3, 3) from the chord ||ra - rb||_F =
+    2 sqrt(2) sin(angle / 2): exactly 0 for equal frames, where the trace
+    form's acos cannot resolve angles below ~1e-8."""
+    chord = np.linalg.norm(ra - rb, axis=(-2, -1)) / (2.0 * math.sqrt(2.0))
+    return 2.0 * np.arcsin(np.minimum(1.0, chord))
 
 
 def fk_equivalent(tree_a: KinematicTree, model_a: RobotModel,
@@ -299,51 +301,46 @@ def fk_equivalent(tree_a: KinematicTree, model_a: RobotModel,
                   samples: int = 16, seed: int = 0, tol: float = 1e-6) -> FkComparison:
     """Compare two mechanisms by sampled forward kinematics.
 
-    Joints are paired by index (revolute and continuous count as the
-    same motion kind); leaf frames are paired by tree position.  Each
-    sampled value is uniform over the intersection of the two joints'
-    ranges.  Equal iff every sampled leaf frame agrees within ``tol``
-    in translation and in rotation angle.  Deterministic given
-    (samples, seed) and symmetric in the two models.
+    Joints are paired by index in ``actuated`` (revolute and continuous
+    count as the same motion kind), leaf frames by index in ``leaves()``:
+    both follow the tree preorder with siblings by joint name, so the
+    verdict does not depend on declaration order.  Each sampled value is
+    uniform over the intersection of the two joints' ranges.  Equal iff
+    every sampled leaf frame agrees within ``tol`` in translation and in
+    rotation angle.  Deterministic given (samples, seed) and symmetric.
     """
     if len(tree_a.actuated) != len(tree_b.actuated):
         raise Incomparable("joint_count",
                            f"{len(tree_a.actuated)} vs {len(tree_b.actuated)} actuated joints")
-    for ja, jb in zip(tree_a.actuated, tree_b.actuated):
-        rot_a, rot_b = ja.kind in ROTATIONAL, jb.kind in ROTATIONAL
-        if rot_a != rot_b:
-            raise Incomparable("joint_kinds",
-                               f"joint {ja.name!r} is {ja.type_name}, {jb.name!r} is {jb.type_name}")
-    leaves_a, leaves_b = tree_a.leaves(), tree_b.leaves()
-    if len(leaves_a) != len(leaves_b):
-        raise Incomparable("leaf_count", f"{len(leaves_a)} vs {len(leaves_b)} leaf links")
-
     ranges = []
     for ja, jb in zip(tree_a.actuated, tree_b.actuated):
+        if (ja.kind in ROTATIONAL) != (jb.kind in ROTATIONAL):
+            raise Incomparable("joint_kinds",
+                               f"joint {ja.name!r} is {ja.type_name}, {jb.name!r} is {jb.type_name}")
         (lo_a, hi_a), (lo_b, hi_b) = _sample_range(ja), _sample_range(jb)
         lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
         if lo > hi:  # disjoint declared ranges; fall back to the midpoint between them
             lo = hi = (lo + hi) / 2.0
         ranges.append((lo, hi))
+    leaves_a, leaves_b = tree_a.leaves(), tree_b.leaves()
+    if len(leaves_a) != len(leaves_b):
+        raise Incomparable("leaf_count", f"{len(leaves_a)} vs {len(leaves_b)} leaf links")
 
     rng = np.random.default_rng(seed)
-    worst_t = 0.0
-    worst_r = 0.0
-    details: list[FkSample] = []
-    for _ in range(max(1, samples)):
-        q = tuple(rng.uniform(lo, hi) if hi > lo else lo for lo, hi in ranges)
-        frames_a = forward_kinematics(tree_a, model_a, q)
-        frames_b = forward_kinematics(tree_b, model_b, q)
-        dev_t = 0.0
-        dev_r = 0.0
-        for la, lb in zip(leaves_a, leaves_b):
-            fa, fb = frames_a[la], frames_b[lb]
-            dev_t = max(dev_t, float(np.linalg.norm(fa.translation - fb.translation)))
-            dev_r = max(dev_r, _rotation_angle(fa.rotation, fb.rotation))
-        details.append(FkSample(q, dev_t, dev_r))
-        worst_t = max(worst_t, dev_t)
-        worst_r = max(worst_r, dev_r)
+    configs = [tuple(rng.uniform(lo, hi) if hi > lo else lo for lo, hi in ranges)
+               for _ in range(max(1, samples))]
+    q = np.array(configs, dtype=float).reshape(len(configs), len(ranges))
 
+    def leaf_frames(tree, leaves):  # rotations (S, leaves, 3, 3), translations (S, leaves, 3)
+        frames = _frames(tree, q)
+        return [np.stack(part, axis=1) for part in zip(*(frames[leaf] for leaf in leaves))]
+
+    rot_a, trans_a = leaf_frames(tree_a, leaves_a)
+    rot_b, trans_b = leaf_frames(tree_b, leaves_b)
+    dev_t = np.linalg.norm(trans_a - trans_b, axis=-1).max(axis=1)
+    dev_r = _rotation_angle(rot_a, rot_b).max(axis=1)
+    worst_t, worst_r = float(dev_t.max()), float(dev_r.max())
     return FkComparison(equal=worst_t <= tol and worst_r <= tol,
                         worst_deviation=worst_t, worst_rotation=worst_r,
-                        samples=tuple(details))
+                        samples=tuple(FkSample(config, float(t), float(r))
+                                      for config, t, r in zip(configs, dev_t, dev_r)))

@@ -6,7 +6,7 @@ import pytest
 
 from urdf_inspect.cli import run_cli
 
-from conftest import LISTING1, simple_urdf
+from conftest import LISTING1, simple_urdf, write_bundle, write_source
 
 
 @pytest.fixture
@@ -71,6 +71,16 @@ class TestInspectCommand:
         bad.write_text("<robot><link>")
         assert run_cli(["inspect", str(bad)]) == 1
 
+    def test_directory_named_urdf_is_an_f_row(self, tmp_path):
+        (tmp_path / "a.urdf").mkdir()
+        out = tmp_path / "out"
+        assert run_cli(["--out", str(out), "inspect", str(tmp_path / "a.urdf")]) == 1
+        assert read_csv(out / "parsing_errors.csv")[1:] == [
+            ["a.urdf", "error", "F", "document", "0", "cannot read file: Is a directory"]]
+
+    def test_missing_path_exits_three(self, tmp_path):
+        assert run_cli(["inspect", str(tmp_path / "ghost.urdf")]) == 3
+
 
 EXPECTED_TABLES = {
     "structures", "xacro", "parsing_errors", "mesh_types", "duplicates",
@@ -129,6 +139,18 @@ class TestScanCommand:
         assert rows == [["alpha/gripper_description", "error", "F", "document", "0",
                          "cannot read file: Permission denied"]]
         assert {p.stem for p in out.glob("*.csv")} == EXPECTED_TABLES
+
+    def test_directory_named_urdf_is_an_f_row(self, tmp_path):
+        source = write_source(tmp_path / "corpus", "alpha")
+        write_bundle(source, "planar_description", LISTING1, robot_name="planar")
+        missing = write_bundle(source, "gone_description", LISTING1, robot_name="gone")
+        (missing / "urdf" / "gone.urdf").unlink()  # described but absent: no row
+        (source / "x.urdf").mkdir()
+        out = tmp_path / "reports"
+        assert run_cli(["--out", str(out), "scan", str(tmp_path / "corpus")]) == 0
+        assert sum(map(int, read_csv(out / "structures.csv")[-1][1:])) == 3  # x.urdf counted
+        assert read_csv(out / "parsing_errors.csv")[1:] == [
+            ["alpha/x.urdf", "error", "F", "document", "0", "cannot read file: Is a directory"]]
 
     def test_two_runs_byte_identical(self, small_corpus, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

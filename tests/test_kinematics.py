@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.transform import Rotation
 
 from urdf_inspect.kinematics import (
     Incomparable,
@@ -10,6 +12,7 @@ from urdf_inspect.kinematics import (
     Transform,
     TreeError,
     UnsupportedJoint,
+    _rotation_angle,
     build_tree,
     fk_equivalent,
     forward_kinematics,
@@ -50,6 +53,32 @@ def random_chain(rng, max_joints=8):
     return joints
 
 
+def tree_urdf(joints, link_order=None, joint_order=None):
+    """URDF of a tree whose joint i (name, kind, parent index, xyz, rpy, axis)
+    hangs link l{i+1} off link l{parent}; the orders permute the declarations."""
+    links = [f'<link name="l{i}"/>' for i in range(len(joints) + 1)]
+    parts = []
+    for i, (name, kind, parent, xyz, rpy, axis) in enumerate(joints, start=1):
+        limit = '<limit lower="-1" upper="2" effort="10" velocity="1"/>' \
+            if kind in ("revolute", "prismatic") else ""
+        parts.append(
+            f'<joint name="{name}" type="{kind}"><parent link="l{parent}"/><child link="l{i}"/>'
+            f'<origin xyz="{xyz[0]} {xyz[1]} {xyz[2]}" rpy="{rpy[0]} {rpy[1]} {rpy[2]}"/>'
+            f'<axis xyz="{axis[0]} {axis[1]} {axis[2]}"/>{limit}</joint>')
+    link_order = range(len(links)) if link_order is None else link_order
+    joint_order = range(len(parts)) if joint_order is None else joint_order
+    return ('<robot name="tree">' + "".join(links[i] for i in link_order)
+            + "".join(parts[i] for i in joint_order) + "</robot>")
+
+
+# Siblings a_* and b_* under l0 and l1, declared b before a.
+BRANCHING = [("b_root", "revolute", 0, (0.1, 0, 0.2), (0, 0.3, 0), (0, 0, 1)),
+             ("a_root", "prismatic", 0, (-0.2, 0.1, 0), (0.2, 0, 0), (1, 0, 0)),
+             ("b_mid", "continuous", 1, (0, 0.3, 0.1), (0, 0, 0.4), (0, 1, 0)),
+             ("a_mid", "fixed", 1, (0.05, 0, 0.3), (0.1, 0, 0), (1, 0, 0)),
+             ("tip", "revolute", 4, (0, 0, 0.25), (0, 0, 0), (1, 1, 0))]
+
+
 class TestBuildTree:
     def test_listing1_chain(self, listing1):
         tree = build_tree(parse_urdf(listing1))
@@ -77,6 +106,12 @@ class TestBuildTree:
         with pytest.raises(TreeError) as info:
             build_tree(parse_urdf('<robot name="r"><link name="a"/><link name="b"/></robot>'))
         assert info.value.reason == "multiple_roots"
+
+    def test_branching_order_is_preorder_by_joint_name(self):
+        tree = build_tree(parse_urdf(tree_urdf(BRANCHING)))
+        assert [j.name for j in tree.joints] == ["a_root", "b_root", "a_mid", "tip", "b_mid"]
+        assert [j.name for j in tree.actuated] == ["a_root", "b_root", "tip", "b_mid"]
+        assert tree.leaves() == ["l2", "l5", "l3"]
 
     def test_zero_axis_rejected(self):
         text = chain_urdf([("revolute", (0, 0, 1), (0, 0, 0), (0, 0, 0))])
@@ -229,3 +264,61 @@ class TestFkEquivalent:
         assert outcome.equal
         for sample in outcome.samples:
             assert 0.25 <= sample.config[0] <= 0.5
+
+
+NUMBER = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 3))
+TRIPLE = st.tuples(NUMBER, NUMBER, NUMBER)
+AXIS = TRIPLE.filter(lambda a: max(map(abs, a)) > 0.1)
+KIND = st.sampled_from(["revolute", "continuous", "prismatic", "fixed"])
+
+
+@st.composite
+def shuffled_trees(draw):
+    """A random tree of 2-12 links and the orders to declare it in."""
+    count = draw(st.integers(1, 11))
+    names = draw(st.permutations([f"j{i:02d}" for i in range(count)]))
+    joints = [(names[i], draw(KIND), draw(st.integers(0, i)), draw(TRIPLE), draw(TRIPLE),
+               draw(AXIS)) for i in range(count)]
+    return joints, draw(st.permutations(range(count + 1))), draw(st.permutations(range(count)))
+
+
+# A serial chain with its links and joints declared in reverse order.
+REVERSED_CHAIN = ([("j1", "revolute", 0, (0, 0, 0.3), (0, 0, 0), (0, 1, 0)),
+                   ("j2", "revolute", 1, (0, 0, 0.4), (0.5, 0, 0), (0, 1, 0)),
+                   ("j3", "revolute", 2, (0.1, 0, 0.3), (0, 0, 0), (1, 0, 0))],
+                  [3, 2, 1, 0], [2, 1, 0])
+
+
+class TestDeclarationOrder:
+    @given(shuffled_trees())
+    @example(REVERSED_CHAIN)
+    @example((BRANCHING, [5, 4, 3, 2, 1, 0], [3, 2, 4, 0, 1]))
+    @settings(deadline=None)
+    def test_shuffled_declarations_compare_exactly_equal(self, spec):
+        joints, link_order, joint_order = spec
+        ma = parse_urdf(tree_urdf(joints))
+        mb = parse_urdf(tree_urdf(joints, link_order, joint_order))
+        outcome = fk_equivalent(build_tree(ma), ma, build_tree(mb), mb)
+        assert outcome.equal
+        assert outcome.worst_deviation == 0.0
+        assert outcome.worst_rotation == 0.0
+
+
+class TestRotationAngle:
+    def test_self_comparison_is_exact(self):
+        # the trace form read 4.2e-8 rad here, failing tol=1e-9
+        model = parse_urdf(chain_urdf([("revolute", (0, 0, 0.5), (0, 0, 0), (1, 1, 0))]))
+        tree = build_tree(model)
+        outcome = fk_equivalent(tree, model, tree, model, tol=1e-9)
+        assert outcome.equal
+        assert outcome.worst_rotation == 0.0
+
+    def test_matches_oracle_below_three_radians(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            ra = Rotation.random(random_state=rng).as_matrix()
+            axis = rng.normal(size=3)
+            angle = rng.uniform(0.0, 3.0)
+            rb = ra @ Rotation.from_rotvec(angle * axis / np.linalg.norm(axis)).as_matrix()
+            assert abs(float(_rotation_angle(ra, rb)) - rotation_angle(ra, rb)) < 1e-9
+            assert float(_rotation_angle(ra, rb)) == float(_rotation_angle(rb, ra))
