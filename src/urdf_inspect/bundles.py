@@ -125,11 +125,17 @@ def _load_json(path: Path):
         return None
 
 
+def _hidden(path: Path, base: Path) -> bool:
+    """True when any part of ``path`` below ``base`` starts with a dot."""
+    return any(part.startswith(".") for part in path.relative_to(base).parts)
+
+
 def scan_corpus(root: Path | str) -> list[BundleRecord]:
     """Walk a corpus tree and return one record per described URDF.
 
     Missing or broken metadata degrades to records with notices, never
-    to failures; only an unreadable root raises.  Output is ordered by
+    to failures; only an unreadable root raises.  Hidden entries (any
+    path part starting with a dot) are skipped.  Output is ordered by
     (source, id, urdf path) and stable across runs.
     """
     root = Path(root)
@@ -139,7 +145,7 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
         root = root / "urdf_files"
 
     records: list[BundleRecord] = []
-    for source_dir in sorted(p for p in root.iterdir() if p.is_dir() and not p.name.startswith(".")):
+    for source_dir in sorted(p for p in root.iterdir() if p.is_dir() and not _hidden(p, root)):
         source_name = source_dir.name
         source_url = ""
         info = _load_json(source_dir / "source-information.json")
@@ -149,7 +155,8 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
 
         described: set[Path] = set()
         source_records: list[BundleRecord] = []
-        for meta_path in sorted(source_dir.rglob("meta-information.json")):
+        for meta_path in sorted(p for p in source_dir.rglob("meta-information.json")
+                                if not _hidden(p, source_dir)):
             bundle_dir = meta_path.parent
             data = _load_json(meta_path)
             entries = data if isinstance(data, list) else [data] if isinstance(data, dict) else []
@@ -183,7 +190,7 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
                 ))
 
         for urdf in sorted(source_dir.rglob("*.urdf")):
-            if urdf.resolve() not in described:
+            if not _hidden(urdf, source_dir) and urdf.resolve() not in described:
                 source_records.append(BundleRecord(
                     id=str(urdf.relative_to(source_dir)),
                     robot_name="",
@@ -232,7 +239,7 @@ def _has_layout(bundle_dir: Path, urdf_folder: str) -> bool:
     folder = bundle_dir / urdf_folder
     if not folder.is_dir() or not (bundle_dir / "meshes").is_dir():
         return False
-    return any(folder.rglob("*.urdf"))
+    return any(not _hidden(p, folder) for p in folder.rglob("*.urdf"))
 
 
 def classify_structure(bundle_dir: Path | str) -> StructureClass:
@@ -336,11 +343,12 @@ def _fingerprint(text: str) -> LicenseId | None:
 
 
 def detect_license(bundle_dir: Path | str) -> LicenseId:
-    """Fingerprint LICENSE/COPYING-style files under a bundle directory."""
+    """Fingerprint LICENSE/COPYING-style files under a bundle directory,
+    skipping hidden entries."""
     bundle_dir = Path(bundle_dir)
     candidates = sorted(
         (p for p in bundle_dir.rglob("*")
-         if p.is_file() and _LICENSE_FILE.match(p.name)),
+         if p.is_file() and _LICENSE_FILE.match(p.name) and not _hidden(p, bundle_dir)),
         key=lambda p: str(p.relative_to(bundle_dir)),
     )
     for path in candidates:

@@ -152,18 +152,17 @@ def _load_corpus(root: Path) -> _Corpus:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     path: Path = args.path
-    if path.is_dir():
-        files = sorted(path.rglob("*.urdf"))
-    elif path.is_file():
-        files = [path]
-    else:
+    if not path.exists():
         print(f"error: {path} does not exist", file=sys.stderr)
         return EXIT_IO
+    # a path named *.urdf is one file, as in the tree walk, even if it is a directory
+    walk = path.is_dir() and not path.match("*.urdf")
+    files = sorted(path.rglob("*.urdf")) if walk else [path]
 
     rows: list[tuple[str, Diagnostic]] = []
     failed = False
     for file in files:
-        rel = file.relative_to(path).as_posix() if path.is_dir() else file.name
+        rel = file.relative_to(path).as_posix() if walk else file.name
         _, _, diags = _analyze(file)
         if any(d.severity == "error" for d in diags):
             failed = True
@@ -223,8 +222,8 @@ def _stats_tables(corpus: _Corpus) -> list[report.ReportTable]:
 
 def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
     files = sorted({p for p in corpus.root.rglob("*")
-                    if p.is_file() and p.name not in ("source-information.json",
-                                                      "meta-information.json")})
+                    if p.is_file() and not bundles._hidden(p, corpus.root)
+                    and p.name not in ("source-information.json", "meta-information.json")})
     io_errors: list = []
     groups = dedup.find_duplicates(files, errors=io_errors)
     for path, exc in io_errors:
@@ -234,13 +233,11 @@ def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
 
 
 def _discrepancies(args: argparse.Namespace, corpus: _Corpus) -> report.ReportTable:
-    by_key = {}
-    for entry in corpus.entries:
-        by_key.setdefault(compare.robot_key(entry.record), []).append(entry)
+    entry_of = {id(e.record): e for e in corpus.entries}
     groups = compare.find_multiply_defined([e.record for e in corpus.entries])
     rows = []
-    for key, records in groups.items():
-        entries = by_key[key]
+    for records in groups.values():
+        entries = [entry_of[id(r)] for r in records]
         triples = [(e.record, e.model, e.text or "") for e in entries]
         rep = compare.compare_group(triples, fk_samples=args.fk_samples,
                                     fk_seed=args.seed, fk_tol=args.fk_tol)

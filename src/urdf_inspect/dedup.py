@@ -1,21 +1,21 @@
 """Identical-file detection after whitespace/line-ending normalization.
 
 Text files are compared with spaces and tabs removed and every line
-break rewritten as CRLF; binary files are compared verbatim.  One read
-of each file yields its normalized size and MD5 digest together; files
-that share both are then compared byte by byte, so the digest never
-decides membership on its own.
+break rewritten as CRLF; binary files are compared verbatim.  One
+reader, ``_normalized_chunks``, makes the text/binary decision and the
+normalization for both stages, on the calling thread: one read of each
+file yields its normalized size and MD5 digest together, and files that
+share both are then read again and compared byte by byte, so the digest
+never decides membership on its own.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "DuplicateGroup",
@@ -23,20 +23,11 @@ __all__ = [
     "is_text_payload",
     "normalize",
     "find_duplicates",
-    "worker_count",
 ]
 
 TEXT_EXTENSIONS = {"urdf", "xacro", "dae", "obj", "mtl", "xml", "json", "txt", "md"}
 
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
-
-
-def worker_count() -> int:
-    """Worker cap: URDF_INSPECT_JOBS when set, else logical core count."""
-    configured = os.environ.get("URDF_INSPECT_JOBS", "")
-    if configured.isdigit() and int(configured) > 0:
-        return int(configured)
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -72,23 +63,25 @@ def is_text_payload(path: Path, head: bytes) -> bool:
     return False
 
 
-def _normalized_content(path: Path) -> bytes:
-    data = path.read_bytes()
-    return normalize(data, is_text_payload(path, data[:1024]))
-
-
-def _size_and_digest(path: Path) -> tuple[int, str]:
+def _normalized_chunks(path: Path) -> Iterator[bytes]:
+    """The normalized content of one file: text whole, binary in 1 MiB reads."""
     with path.open("rb") as fh:
         head = fh.read(1024)
         if is_text_payload(path, head):
-            content = normalize(head + fh.read(), True)
-            return len(content), hashlib.md5(content).hexdigest()
-        md5 = hashlib.md5(head)
-        size = len(head)
+            yield normalize(head + fh.read(), True)
+            return
+        yield head
         while chunk := fh.read(1 << 20):
-            md5.update(chunk)
-            size += len(chunk)
-        return size, md5.hexdigest()
+            yield chunk
+
+
+def _size_and_digest(path: Path) -> tuple[int, str]:
+    md5 = hashlib.md5()
+    size = 0
+    for chunk in _normalized_chunks(path):
+        md5.update(chunk)
+        size += len(chunk)
+    return size, md5.hexdigest()
 
 
 def find_duplicates(paths: Iterable[Path | str],
@@ -100,17 +93,13 @@ def find_duplicates(paths: Iterable[Path | str],
     members and are sorted by (size descending, first path); the result
     does not depend on input order.
     """
-    unique: list[Path] = sorted({Path(p) for p in paths}, key=str)
-
     keyed: dict[tuple[int, str], list[Path]] = {}
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        outcomes = pool.map(_guarded_size_and_digest, unique)
-    for path, outcome in zip(unique, outcomes):
-        if isinstance(outcome, OSError):
+    for path in sorted({Path(p) for p in paths}, key=str):
+        try:
+            keyed.setdefault(_size_and_digest(path), []).append(path)
+        except OSError as exc:
             if errors is not None:
-                errors.append((path, outcome))
-            continue
-        keyed.setdefault(outcome, []).append(path)
+                errors.append((path, exc))
 
     groups: list[DuplicateGroup] = []
     for (size, digest), members in keyed.items():
@@ -123,13 +112,6 @@ def find_duplicates(paths: Iterable[Path | str],
     return groups
 
 
-def _guarded_size_and_digest(path: Path):
-    try:
-        return _size_and_digest(path)
-    except OSError as exc:
-        return exc
-
-
 def _partition_identical(members: list[Path],
                          errors: list[tuple[Path, OSError]] | None) -> list[list[Path]]:
     """Split a same-size same-digest bucket by actual content equality."""
@@ -137,7 +119,7 @@ def _partition_identical(members: list[Path],
     pending: list[Path] = []
     for path in members:
         try:
-            contents[path] = _normalized_content(path)
+            contents[path] = b"".join(_normalized_chunks(path))
             pending.append(path)
         except OSError as exc:
             if errors is not None:

@@ -147,6 +147,12 @@ class TestClassifyStructure:
     def test_support_needs_two_name_parts(self, tmp_path):
         assert classify_structure(make_layout(tmp_path, "kr6_support")) is StructureClass.OTHER
 
+    def test_hidden_urdf_does_not_make_a_layout(self, tmp_path):
+        bundle = make_layout(tmp_path, "abc_description", urdf_in_folder=False)
+        (bundle / "urdf" / ".backup").mkdir()
+        (bundle / "urdf" / ".backup" / "robot.urdf").write_text(simple_urdf())
+        assert classify_structure(bundle) is StructureClass.OTHER
+
 
 class TestXacroDetection:
     def test_banner_detected(self):

@@ -34,6 +34,14 @@ class TestValidateCommand:
         rows = [line for line in capsys.readouterr().out.splitlines() if ",D," in line]
         assert len(rows) == 1
 
+    def test_urdf_named_directory_argument_is_one_f_row(self, tmp_path):
+        (tmp_path / "d" / "a.urdf").mkdir(parents=True)
+        (tmp_path / "d" / "a.urdf" / "inner.urdf").write_text(LISTING1)  # not walked
+        out = tmp_path / "out"
+        assert run_cli(["--out", str(out), "validate", str(tmp_path / "d" / "a.urdf")]) == 1
+        assert read_csv(out / "parsing_errors.csv")[1:] == [
+            ["a.urdf", "error", "F", "document", "0", "cannot read file: Is a directory"]]
+
     def test_directory_walk(self, tmp_path):
         (tmp_path / "ok.urdf").write_text(LISTING1)
         (tmp_path / "bad.urdf").write_text("<robot><link>")
@@ -120,6 +128,23 @@ class TestScanCommand:
         assert record["lines"] == "true"  # beta copy has trailing blank lines
         assert record["any_excl_lines"] == "false"
 
+    def test_discrepancies_ignore_unnamed_records(self, tmp_path):
+        # "***" normalizes to the same empty key as an orphan URDF's
+        root = tmp_path / "corpus"
+        meta = {"name": "***", "manufacturer": "", "type": "arm",
+                "urdf-location": "r.urdf", "id": "1"}
+        for source in ("s1", "s2"):
+            (root / source / "b").mkdir(parents=True)
+            (root / source / "b" / "r.urdf").write_text(simple_urdf("r"))
+            (root / source / "b" / "meta-information.json").write_text(json.dumps(meta))
+        (root / "s3" / "o").mkdir(parents=True)
+        (root / "s3" / "o" / "x.urdf").write_text(LISTING1)
+        out = tmp_path / "reports"
+        assert run_cli(["--out", str(out), "compare", str(root)]) == 0
+        assert read_csv(out / "discrepancies.csv")[1:] == [
+            ["***", "", "arm", "s1;s2", "false", "false", "false", "false", "false",
+             "false", "false"]]
+
     def test_missing_root_exits_three(self, tmp_path):
         assert run_cli(["scan", str(tmp_path / "nope")]) == 3
 
@@ -151,6 +176,28 @@ class TestScanCommand:
         assert sum(map(int, read_csv(out / "structures.csv")[-1][1:])) == 3  # x.urdf counted
         assert read_csv(out / "parsing_errors.csv")[1:] == [
             ["alpha/x.urdf", "error", "F", "document", "0", "cannot read file: Is a directory"]]
+
+    def test_hidden_entries_skipped_by_every_walk(self, tmp_path):
+        root = tmp_path / "corpus"
+        urdf = simple_urdf("r")
+        for name in ("s1", "s2"):
+            write_bundle(write_source(root, name), "r_description", urdf, robot_name="r")
+        (root / ".snapshot" / "b").mkdir(parents=True)
+        (root / ".snapshot" / "b" / "r.urdf").write_text(urdf)
+        (root / "s1" / ".git").mkdir()
+        (root / "s1" / ".git" / "r.urdf").write_text(urdf)
+        (root / "s1" / "r_description" / ".old").mkdir()
+        (root / "s1" / "r_description" / ".old" / "LICENSE").write_text(
+            "Permission is hereby granted, free of charge, to any person")
+        out = tmp_path / "reports"
+        assert run_cli(["--out", str(out), "scan", str(root)]) == 0
+        assert read_csv(out / "structures.csv")[-1][:2] == ["total", "2"]
+        assert [row[2] for row in read_csv(out / "duplicates.csv")[1:]] == [
+            "s1/r_description/urdf/r.urdf", "s2/r_description/urdf/r.urdf"]
+        assert [row[0] for row in read_csv(out / "duplicates_cross_source.csv")[1:]] == [
+            "s1", "s2"]
+        licenses = {row[0]: row[1:] for row in read_csv(out / "licenses.csv")}
+        assert licenses["s1"] == licenses["s2"] == ["0", "0", "0", "0", "1"]
 
     def test_two_runs_byte_identical(self, small_corpus, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

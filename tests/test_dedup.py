@@ -4,12 +4,7 @@ from pathlib import Path
 
 from hypothesis import given, strategies as st
 
-from urdf_inspect.dedup import (
-    find_duplicates,
-    is_text_payload,
-    normalize,
-    worker_count,
-)
+from urdf_inspect.dedup import find_duplicates, is_text_payload, normalize
 
 from oracles import brute_force_duplicates, oracle_normalize
 
@@ -127,6 +122,16 @@ class TestFindDuplicates:
         assert group.digest == hashlib.md5(b"ab\r\n").hexdigest()
         assert group.size == 4
 
+    def test_binary_read_in_chunks_hashes_whole_file(self, tmp_path):
+        blob = bytes(random.Random(3).getrandbits(8) for _ in range(1 << 12)) * 600  # 2.3 MiB
+        near_miss = blob[:-1] + bytes([blob[-1] ^ 1])
+        for name, data in (("a.bin", blob), ("b.bin", blob), ("c.bin", near_miss)):
+            (tmp_path / name).write_bytes(data)
+        groups = find_duplicates(sorted(tmp_path.iterdir()))
+        assert [g.members for g in groups] == [(tmp_path / "a.bin", tmp_path / "b.bin")]
+        assert groups[0].size == len(blob)
+        assert groups[0].digest == hashlib.md5(blob).hexdigest()
+
     def test_permutation_invariance(self, tmp_path):
         paths = make_fixture_tree(tmp_path, random.Random(5), n_payloads=8)
         forward = find_duplicates(paths)
@@ -155,9 +160,3 @@ class TestFindDuplicates:
         groups = find_duplicates(list(tmp_path.iterdir()))
         assert [g.size for g in groups] == sorted([g.size for g in groups], reverse=True)
 
-
-def test_worker_count_respects_env(monkeypatch):
-    monkeypatch.setenv("URDF_INSPECT_JOBS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("URDF_INSPECT_JOBS", "")
-    assert worker_count() >= 1

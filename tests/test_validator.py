@@ -1,8 +1,10 @@
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from urdf_inspect.kinematics import TreeError, build_tree
 from urdf_inspect.model import parse_urdf
 from urdf_inspect.validator import kinematic_sanity, validate
+
+from conftest import LISTING1
 
 TWO_LINKS = '<link name="a"/><link name="b"/>'
 
@@ -216,3 +218,54 @@ def test_build_tree_fails_iff_sanity_warns(graph):
     except TreeError:
         rejected = True
     assert rejected == bool(kinematic_sanity(model))
+
+
+# --------------------------------------------------------------------------
+# Parser fuzz and regression tests.
+# --------------------------------------------------------------------------
+
+LISTING1_BYTES = LISTING1.encode()
+
+
+@st.composite
+def mutated_listing1(draw):
+    """LISTING1 with 1-8 bytes flipped, deleted, inserted or duplicated."""
+    data = bytearray(LISTING1_BYTES)
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["flip", "delete", "insert", "duplicate"]))
+        at = draw(st.integers(0, len(data) - 1))
+        if kind == "flip":
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "delete":
+            del data[at]
+        elif kind == "insert":
+            data.insert(at, draw(st.integers(0, 255)))
+        else:
+            data[at:at] = data[at:at + draw(st.integers(1, 64))]
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_listing1())
+def test_mutated_listing1_gives_a_model_or_an_error(data):
+    result = validate(data)
+    if result.model is None:
+        assert any(d.severity == "error" for d in result.diagnostics)
+    else:
+        assert isinstance(kinematic_sanity(result.model), list)
+
+
+def test_billion_laughs_is_f():
+    lol = "".join(f'<!ENTITY lol{i} "{f"&lol{i - 1};" * 10}">' for i in range(1, 10))
+    text = (f'<?xml version="1.0"?><!DOCTYPE r [<!ENTITY lol0 "lol">{lol}]>'
+            '<robot name="&lol9;"><link name="a"/></robot>')
+    result = validate(text)
+    assert result.model is None
+    assert [d.code for d in result.diagnostics] == ["F"]
+
+
+def test_deeply_nested_unknown_elements_parse():
+    depth = 200_000
+    text = '<robot name="r"><link name="a"/>' + "<x>" * depth + "</x>" * depth + "</robot>"
+    result = validate(text)
+    assert result.model is not None and result.model.link_names() == ["a"]
