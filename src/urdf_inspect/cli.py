@@ -238,9 +238,8 @@ def _discrepancies(args: argparse.Namespace, corpus: _Corpus) -> report.ReportTa
     rows = []
     for records in groups.values():
         entries = [entry_of[id(r)] for r in records]
-        triples = [(e.record, e.model, e.text or "") for e in entries]
-        rep = compare.compare_group(triples, fk_samples=args.fk_samples,
-                                    fk_seed=args.seed, fk_tol=args.fk_tol)
+        rep = compare.compare_group([(e.record, e.model, e.text) for e in entries],
+                                    fk_samples=args.fk_samples, fk_seed=args.seed, fk_tol=args.fk_tol)
         lead = records[0]
         rows.append((lead.robot_name, lead.manufacturer, lead.robot_type, rep))
     rows.sort(key=lambda r: (r[0], r[1]))

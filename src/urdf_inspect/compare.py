@@ -1,9 +1,13 @@
 """Cross-source comparison of robots that more than one source defines.
 
 Robots are grouped by a normalized (manufacturer, robot name) key taken
-from the dataset metadata.  Each group is compared pairwise across
-sources on joint count, link count, mesh extension sets, sampled
-forward kinematics, and raw line count.
+from the dataset metadata.  Joint count, link count, mesh extension sets
+and raw line count are per-member facts: a flag says "differs" iff the
+facts of the members that have one span at least two sources and hold
+at least two distinct values.  A member whose text was not read gives no
+line count; one whose model did not parse gives no joint, link or mesh
+fact.  Sampled forward kinematics is the only pairwise check: it runs
+over the cross-source pairs of members whose kinematic tree was built.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ class DiscrepancyReport:
     comparable pair showed a difference.
     """
 
-    robot_key: RobotKey
     sources: tuple[str, ...]
     diff_joints: bool
     diff_links: bool
@@ -77,62 +80,44 @@ class DiscrepancyReport:
                 or self.diff_fk is True)
 
 
-def compare_group(bundles: list[tuple[BundleRecord, RobotModel | None, str]],
+def _differs(facts: list[tuple[str, object]]) -> bool:
+    """Some cross-source pair of (source, value) facts holds different values.
+
+    That is the case iff the facts span at least two sources and hold at
+    least two distinct values.
+    """
+    return len({source for source, _ in facts}) >= 2 and len({v for _, v in facts}) >= 2
+
+
+def compare_group(bundles: list[tuple[BundleRecord, RobotModel | None, str | None]],
                   fk_samples: int = 16, fk_seed: int = 0,
                   fk_tol: float = 1e-6) -> DiscrepancyReport:
-    """Pairwise feature comparison over one robot's bundles.
+    """Feature comparison over one robot's bundles, across distinct sources.
 
-    Pairs are formed across distinct sources only; a flag is true iff
-    any pair differs in that feature.  Members whose model could not be
-    parsed contribute to the line comparison only and make the FK
-    verdict incomparable.
+    A flag is true iff some cross-source pair of members differs in that
+    feature.  A member gives joint, link and mesh-type facts only when
+    its model parsed (``model`` is not None) and a line count only when
+    its text was read (``text`` is not None).  FK is compared pairwise
+    over the members whose kinematic tree was built; any member without
+    a tree makes the FK verdict incomparable unless a pair differs.
     """
-    order = sorted(range(len(bundles)), key=lambda i: (bundles[i][0].source_name,
-                                                       bundles[i][0].id,
-                                                       str(bundles[i][0].urdf_path)))
-    bundles = [bundles[i] for i in order]
-    records = [b[0] for b in bundles]
-    models = [b[1] for b in bundles]
-    lines = [line_count(b[2]) for b in bundles]
-
-    trees = []
-    for model in models:
-        if model is None:
-            trees.append(None)
-            continue
+    bundles = sorted(bundles, key=lambda b: (b[0].source_name, b[0].id, str(b[0].urdf_path)))
+    sources = tuple(sorted({record.source_name for record, _, _ in bundles}))
+    lines = [(r.source_name, line_count(text)) for r, _, text in bundles if text is not None]
+    parsed = [(r.source_name, model) for r, model, _ in bundles if model is not None]
+    inventories = [(source, mesh_inventory(model)) for source, model in parsed]
+    built = []
+    for source, model in parsed:
         try:
-            trees.append(build_tree(model))
+            built.append((source, model, build_tree(model)))
         except TreeError:
-            trees.append(None)
-    cad_sets: list[tuple[frozenset, frozenset] | None] = []
-    for model in models:
-        if model is None:
-            cad_sets.append(None)
-        else:
-            inv = mesh_inventory(model)
-            cad_sets.append((frozenset(inv.visual), frozenset(inv.collision)))
-
-    diff_joints = diff_links = diff_cad = diff_lines = False
+            pass
     fk_verdicts: list[bool | None] = []
-    for i in range(len(bundles)):
-        for j in range(i + 1, len(bundles)):
-            if records[i].source_name == records[j].source_name:
-                continue
-            if lines[i] != lines[j]:
-                diff_lines = True
-            ma, mb = models[i], models[j]
-            if ma is None or mb is None:
-                fk_verdicts.append(None)
-                continue
-            if len(ma.joints) != len(mb.joints):
-                diff_joints = True
-            if len(ma.links) != len(mb.links):
-                diff_links = True
-            if cad_sets[i] != cad_sets[j]:
-                diff_cad = True
-            ta, tb = trees[i], trees[j]
-            if ta is None or tb is None:
-                fk_verdicts.append(None)
+    if len(sources) >= 2 and len(built) < len(bundles):
+        fk_verdicts.append(None)  # a member without a tree sits in some cross-source pair
+    for i, (source_a, ma, ta) in enumerate(built):
+        for source_b, mb, tb in built[i + 1:]:
+            if source_a == source_b:
                 continue
             try:
                 outcome = fk_equivalent(ta, ma, tb, mb,
@@ -148,15 +133,14 @@ def compare_group(bundles: list[tuple[BundleRecord, RobotModel | None, str]],
     else:
         diff_fk = False
 
-    unparsed = tuple(f"{r.source_name}:{r.id or r.urdf_path}"
-                     for r, m in zip(records, models) if m is None)
     return DiscrepancyReport(
-        robot_key=robot_key(records[0]),
-        sources=tuple(sorted({r.source_name for r in records})),
-        diff_joints=diff_joints,
-        diff_links=diff_links,
-        diff_cad_types=diff_cad,
+        sources=sources,
+        diff_joints=_differs([(s, len(m.joints)) for s, m in parsed]),
+        diff_links=_differs([(s, len(m.links)) for s, m in parsed]),
+        diff_cad_types=_differs([(s, (frozenset(inv.visual), frozenset(inv.collision)))
+                                 for s, inv in inventories]),
         diff_fk=diff_fk,
-        diff_lines=diff_lines,
-        incomparable_members=unparsed,
+        diff_lines=_differs(lines),
+        incomparable_members=tuple(f"{r.source_name}:{r.id or r.urdf_path}"
+                                   for r, model, _ in bundles if model is None),
     )

@@ -12,7 +12,6 @@ never decides membership on its own.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -26,8 +25,6 @@ __all__ = [
 ]
 
 TEXT_EXTENSIONS = {"urdf", "xacro", "dae", "obj", "mtl", "xml", "json", "txt", "md"}
-
-_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ def normalize(content: bytes, is_text: bool) -> bytes:
     if not is_text:
         return content
     stripped = content.translate(None, b" \t")
-    return _LINE_BREAK.sub(b"\r\n", stripped)
+    return stripped.replace(b"\r\n", b"\n").replace(b"\r", b"\n").replace(b"\n", b"\r\n")
 
 
 def is_text_payload(path: Path, head: bytes) -> bool:

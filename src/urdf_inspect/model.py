@@ -194,7 +194,6 @@ class RobotModel:
     links: tuple[Link, ...]
     joints: tuple[Joint, ...]
     materials: tuple[Material, ...] = ()
-    source_line_count: int = 0
     notices: tuple[ParseNotice, ...] = ()
     line: int = 0
     column: int = 0
@@ -493,7 +492,7 @@ class _Parser:
             column=element.column,
         )
 
-    def robot(self, root: _XmlElement, source_lines: int) -> RobotModel:
+    def robot(self, root: _XmlElement) -> RobotModel:
         links: list[Link] = []
         joints: list[Joint] = []
         for child in root.children:
@@ -516,7 +515,6 @@ class _Parser:
             links=tuple(links),
             joints=tuple(joints),
             materials=tuple(self.materials),
-            source_line_count=source_lines,
             notices=tuple(self.notices),
             line=root.line,
             column=root.column,
@@ -536,4 +534,4 @@ def parse_urdf(xml_text: str | bytes) -> RobotModel:
     root = _read_document(text)
     if root.tag != "robot":
         raise ParseFailure(f"root element is <{root.tag}>, expected <robot>", root.line, root.column)
-    return _Parser().robot(root, line_count(text))
+    return _Parser().robot(root)

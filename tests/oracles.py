@@ -3,7 +3,8 @@
 These deliberately take different routes: forward kinematics goes
 through scipy rotations and 4x4 homogeneous matrices, duplicate
 grouping is a pairwise O(n^2) comparison with its own byte-level
-normalizer, and line counting is a split-free scanner.
+normalizer, line counting is a split-free scanner, and discrepancy
+flags compare every cross-source pair of members.
 """
 
 from __future__ import annotations
@@ -126,3 +127,60 @@ def oracle_line_count(text: str) -> int:
     if not unified:
         return 0
     return unified.count("\n") + (0 if unified.endswith("\n") else 1)
+
+
+# --------------------------------------------------------------------------
+# Cross-source discrepancy flags.
+# --------------------------------------------------------------------------
+
+
+def oracle_discrepancy_flags(bundles, fk_samples: int = 16, fk_seed: int = 0,
+                             fk_tol: float = 1e-6) -> tuple:
+    """(joints, links, cad, fk, lines) by the pairwise definition.
+
+    ``bundles`` holds (record, model or None, text or None) triples.
+    Every pair of members from distinct sources is compared: lines when
+    both texts were read, joints, links and mesh extension sets when
+    both models parsed; FK is None for a pair where either member has
+    no kinematic tree.  A flag is true iff some pair differs; FK is
+    True if some pair differs, else None if some pair was incomparable.
+    """
+    from urdf_inspect.bundles import mesh_inventory
+    from urdf_inspect.kinematics import (Incomparable, TreeError, UnsupportedJoint,
+                                         build_tree, fk_equivalent)
+    from urdf_inspect.model import line_count
+
+    def tree(model):
+        try:
+            return build_tree(model) if model is not None else None
+        except TreeError:
+            return None
+
+    def cad(model):
+        inv = mesh_inventory(model)
+        return frozenset(inv.visual), frozenset(inv.collision)
+
+    members = sorted(bundles, key=lambda b: (b[0].source_name, b[0].id, str(b[0].urdf_path)))
+    flags = dict.fromkeys(("joints", "links", "cad", "lines"), False)
+    verdicts = []
+    for i, (ra, ma, text_a) in enumerate(members):
+        for rb, mb, text_b in members[i + 1:]:
+            if ra.source_name == rb.source_name:
+                continue
+            if text_a is not None and text_b is not None:
+                flags["lines"] |= line_count(text_a) != line_count(text_b)
+            if ma is not None and mb is not None:
+                flags["joints"] |= len(ma.joints) != len(mb.joints)
+                flags["links"] |= len(ma.links) != len(mb.links)
+                flags["cad"] |= cad(ma) != cad(mb)
+            ta, tb = tree(ma), tree(mb)
+            if ta is None or tb is None:
+                verdicts.append(None)
+                continue
+            try:
+                verdicts.append(not fk_equivalent(ta, ma, tb, mb, samples=fk_samples,
+                                                  seed=fk_seed, tol=fk_tol).equal)
+            except (Incomparable, UnsupportedJoint):
+                verdicts.append(None)
+    fk = True if True in verdicts else None if None in verdicts else False
+    return flags["joints"], flags["links"], flags["cad"], fk, flags["lines"]

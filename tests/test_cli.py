@@ -145,6 +145,31 @@ class TestScanCommand:
             ["***", "", "arm", "s1;s2", "false", "false", "false", "false", "false",
              "false", "false"]]
 
+    @pytest.mark.parametrize("accident", ["missing", "unreadable"])
+    def test_unread_member_does_not_differ(self, tmp_path, monkeypatch, accident):
+        root = tmp_path / "corpus"
+        meta = {"name": "Bot", "manufacturer": "Acme", "type": "arm",
+                "urdf-location": "r.urdf", "id": "1"}
+        for source in ("s1", "s2"):
+            (root / source / "b").mkdir(parents=True)
+            (root / source / "b" / "meta-information.json").write_text(json.dumps(meta))
+        (root / "s1" / "b" / "r.urdf").write_text(simple_urdf("r"))
+        if accident == "unreadable":
+            (root / "s2" / "b" / "r.urdf").write_text(simple_urdf("r"))
+            read_bytes = Path.read_bytes
+
+            def failing(path):
+                if path.parts[-3] == "s2":
+                    raise PermissionError(13, "Permission denied", str(path))
+                return read_bytes(path)
+
+            monkeypatch.setattr(Path, "read_bytes", failing)
+        out = tmp_path / "reports"
+        assert run_cli(["--out", str(out), "compare", str(root)]) == 0
+        assert read_csv(out / "discrepancies.csv")[1:] == [
+            ["Bot", "Acme", "arm", "s1;s2", "false", "false", "false", "incomparable", "false",
+             "false", "false"]]
+
     def test_missing_root_exits_three(self, tmp_path):
         assert run_cli(["scan", str(tmp_path / "nope")]) == 3
 

@@ -1,11 +1,14 @@
 import random
 from pathlib import Path
 
+from hypothesis import example, given, settings, strategies as st
+
 from urdf_inspect.bundles import BundleRecord
 from urdf_inspect.compare import compare_group, find_multiply_defined, robot_key
 from urdf_inspect.model import parse_urdf
 
 from conftest import LISTING1
+from oracles import oracle_discrepancy_flags
 
 
 def record(source, name, manufacturer="Acme", rid=None):
@@ -22,10 +25,10 @@ def record(source, name, manufacturer="Acme", rid=None):
     )
 
 
-def bundle(source, name, text, manufacturer="Acme"):
-    rec = record(source, name, manufacturer)
+def bundle(source, name, text, manufacturer="Acme", rid=None):
+    rec = record(source, name, manufacturer, rid)
     try:
-        model = parse_urdf(text)
+        model = parse_urdf(text) if text is not None else None  # None: the file was not read
     except Exception:
         model = None
     return rec, model, text
@@ -110,6 +113,12 @@ class TestCompareGroup:
         assert report.incomparable_members == ("b:b-bot",)
         assert report.diff_lines  # raw text still comparable
 
+    def test_unread_member_gives_no_line_count(self):
+        report = compare_group([bundle("a", "bot", LISTING1), bundle("b", "bot", None)])
+        assert not report.diff_lines and not report.any
+        assert report.diff_fk is None
+        assert report.incomparable_members == ("b:b-bot",)
+
     def test_same_source_pairs_skipped(self):
         shifted = LISTING1.replace('<origin xyz="0 0 0.5"/>', '<origin xyz="0 0 0.9"/>', 1)
         report = compare_group([bundle("a", "bot", LISTING1),
@@ -157,3 +166,45 @@ class TestCompareGroup:
         after = compare_group(base + [bundle("c", "bot", LISTING1 + "\n\n")])
         for flag in ("diff_joints", "diff_links", "diff_cad_types", "diff_lines"):
             assert not getattr(before, flag) or getattr(after, flag)
+
+
+UNPARSEABLE = "<robot name='x'><link>"
+ISLAND = '<link name="island"/>'  # a second root: the model parses, the tree does not build
+
+
+@st.composite
+def listing1_variant(draw):
+    text = LISTING1
+    if draw(st.booleans()):
+        text = with_world(text)
+    ext = draw(st.sampled_from([None, "stl", "dae", "obj"]))
+    if ext is not None:
+        text = text.replace('<box size="0.5 0.5 0.5"/>', f'<mesh filename="base.{ext}"/>')
+    z = draw(st.sampled_from(["0.5", "0.6"]))
+    text = text.replace('<origin xyz="0 0 0.5"/>', f'<origin xyz="0 0 {z}"/>', 1)
+    return text + "\n" * draw(st.integers(0, 2))
+
+
+MEMBER_TEXT = st.one_of(listing1_variant(), st.just(UNPARSEABLE), st.none(),
+                        listing1_variant().map(lambda t: t.replace("</robot>", ISLAND + "</robot>")))
+
+
+@st.composite
+def groups(draw):
+    members = [bundle(f"s{s}", "bot", draw(MEMBER_TEXT), rid=f"s{s}-v{v}")
+               for s in range(draw(st.integers(1, 4)))
+               for v in range(draw(st.integers(1, 2)))]
+    return draw(st.permutations(members))
+
+
+SHIFTED = LISTING1.replace('<origin xyz="0 0 0.5"/>', '<origin xyz="0 0 0.6"/>', 1)
+
+
+@given(groups())
+@example([bundle("a", "bot", LISTING1, rid="a1"), bundle("a", "bot", SHIFTED, rid="a2"),
+          bundle("b", "bot", UNPARSEABLE)])  # only a same-source pair differs in FK
+@settings(deadline=None)
+def test_flags_match_pairwise_oracle(members):
+    report = compare_group(members)
+    assert (report.diff_joints, report.diff_links, report.diff_cad_types, report.diff_fk,
+            report.diff_lines) == oracle_discrepancy_flags(members)
