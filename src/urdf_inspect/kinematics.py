@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .model import Joint, JointKind, Pose, RobotModel
 
@@ -28,6 +26,9 @@ __all__ = [
     "forward_kinematics",
     "fk_equivalent",
 ]
+
+if TYPE_CHECKING:  # numpy is imported by the functions that use it: only FK needs it
+    import numpy as np
 
 SCALAR_KINDS = (JointKind.REVOLUTE, JointKind.CONTINUOUS, JointKind.PRISMATIC)
 ROTATIONAL = (JointKind.REVOLUTE, JointKind.CONTINUOUS)
@@ -73,10 +74,12 @@ class Transform:
 
     @staticmethod
     def identity() -> "Transform":
+        import numpy as np
         return Transform(np.eye(3), np.zeros(3))
 
     @staticmethod
     def from_pose(pose: Pose) -> "Transform":
+        import numpy as np
         return Transform(_rpy_matrix(pose.rpy), np.asarray(pose.xyz, dtype=float))
 
     def compose(self, other: "Transform") -> "Transform":
@@ -115,6 +118,7 @@ class JointConfig:
 
 
 def _rpy_matrix(rpy: Sequence[float]) -> np.ndarray:
+    import numpy as np
     roll, pitch, yaw = rpy
     cr, sr = math.cos(roll), math.sin(roll)
     cp, sp = math.cos(pitch), math.sin(pitch)
@@ -192,6 +196,7 @@ def build_tree(model: RobotModel) -> KinematicTree:
     Rejects multi-root, cyclic and disconnected graphs, and moving
     joints whose axis is the zero vector.
     """
+    import numpy as np
     known = {link.name for link in model.links}
     for joint in model.joints:
         if joint.parent not in known or joint.child not in known:
@@ -229,6 +234,7 @@ def build_tree(model: RobotModel) -> KinematicTree:
 def _frames(tree: KinematicTree, q: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Rotation (S, 3, 3) and translation (S, 3) of every link, where row s
     of ``q`` (S, len(tree.actuated)) is one configuration of ``tree.actuated``."""
+    import numpy as np
     frames = {tree.root: (np.tile(np.eye(3), (len(q), 1, 1)), np.zeros((len(q), 3)))}
     values = iter(q.T)
     for joint in tree.joints:
@@ -259,6 +265,7 @@ def forward_kinematics(tree: KinematicTree, model: RobotModel,
     if len(values) != len(tree.actuated):
         raise ValueError(f"configuration has {len(values)} values, "
                          f"tree has {len(tree.actuated)} actuated joints")
+    import numpy as np
     rows = np.array(values, dtype=float).reshape(1, -1)
     return {name: Transform(rot[0], trans[0]) for name, (rot, trans) in _frames(tree, rows).items()}
 
@@ -292,6 +299,7 @@ def _rotation_angle(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     """Angle between rotations (..., 3, 3) from the chord ||ra - rb||_F =
     2 sqrt(2) sin(angle / 2): exactly 0 for equal frames, where the trace
     form's acos cannot resolve angles below ~1e-8."""
+    import numpy as np
     chord = np.linalg.norm(ra - rb, axis=(-2, -1)) / (2.0 * math.sqrt(2.0))
     return 2.0 * np.arcsin(np.minimum(1.0, chord))
 
@@ -326,6 +334,7 @@ def fk_equivalent(tree_a: KinematicTree, model_a: RobotModel,
     if len(leaves_a) != len(leaves_b):
         raise Incomparable("leaf_count", f"{len(leaves_a)} vs {len(leaves_b)} leaf links")
 
+    import numpy as np
     rng = np.random.default_rng(seed)
     configs = [tuple(rng.uniform(lo, hi) if hi > lo else lo for lo, hi in ranges)
                for _ in range(max(1, samples))]

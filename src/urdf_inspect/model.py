@@ -282,6 +282,8 @@ def _read_document(text: str) -> _XmlElement:
         parser.Parse(text, True)
     except expat.ExpatError as exc:
         raise ParseFailure(str(exc), exc.lineno, exc.offset) from None
+    finally:  # the handlers and the parser refer to each other; free the tree without the GC
+        parser.StartElementHandler = parser.EndElementHandler = None
     return root[0]
 
 

@@ -126,8 +126,8 @@ def kinematic_sanity(model: RobotModel) -> list[Diagnostic]:
     """Warn about structurally odd joint graphs; never errors.
 
     Expects a model that passed validate.  Reports multiple roots,
-    cycles, links unreachable from the root and links that are the
-    child of several joints.
+    cycles, no root without a cycle, links unreachable from the root and
+    links that are the child of several joints.
     """
     if not model.links:
         return []
@@ -136,9 +136,12 @@ def kinematic_sanity(model: RobotModel) -> list[Diagnostic]:
     if len(graph.roots) > 1:
         diags.append(Diagnostic(WARNING, "W_OTHER", ", ".join(graph.roots),
                                 f"{len(graph.roots)} root links (no unique base)"))
-    if graph.cycle or not graph.roots:
+    if graph.cycle:
         diags.append(Diagnostic(WARNING, "W_OTHER", model.name or "robot",
                                 "joint graph contains a cycle"))
+    elif not graph.roots:  # every link is the child of a joint from an undeclared link
+        diags.append(Diagnostic(WARNING, "W_OTHER", model.name or "robot",
+                                "joint graph has no root link"))
     if graph.roots and graph.unreachable:
         diags.append(Diagnostic(WARNING, "W_OTHER", ", ".join(graph.unreachable),
                                 f"{len(graph.unreachable)} links unreachable from root"))

@@ -89,7 +89,11 @@ def oracle_normalize(data: bytes, is_text: bool) -> bytes:
             i += 1
         elif byte == 0x0D:
             out += b"\r\n"
-            i += 2 if i + 1 < n and data[i + 1] == 0x0A else 1
+            i += 1
+            while i < n and data[i] in (0x20, 0x09):  # dropped first, so CR <tab> LF is one break
+                i += 1
+            if i < n and data[i] == 0x0A:
+                i += 1
         elif byte == 0x0A:
             out += b"\r\n"
             i += 1

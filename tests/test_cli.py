@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import urdf_inspect
 from urdf_inspect.cli import run_cli
 
 from conftest import LISTING1, simple_urdf, write_bundle, write_source
@@ -274,3 +278,20 @@ class TestStatsCommand:
         assert len(names) == 4
         for name in names:
             assert (stats / name).read_bytes() == (scan / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, loads_numpy", [("dupes", False), ("scan", True)])
+def test_numpy_loads_only_for_fk(small_corpus, tmp_path, command, loads_numpy):
+    out = tmp_path / "reports"
+    script = ("import sys\n"
+              "from urdf_inspect.cli import run_cli\n"
+              "imported = 'numpy' in sys.modules\n"
+              f"code = run_cli(['--out', {str(out)!r}, {command!r}, {str(small_corpus)!r}])\n"
+              "print(imported, code, 'numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(urdf_inspect.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["False", "0", str(loads_numpy)]
+    if command == "scan":  # the shared robot still gets an FK verdict
+        header, row = read_csv(out / "discrepancies.csv")
+        assert dict(zip(header, row))["fk"] == "false"

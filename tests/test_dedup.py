@@ -1,9 +1,12 @@
 import hashlib
 import random
+import tempfile
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from urdf_inspect import dedup
 from urdf_inspect.dedup import find_duplicates, is_text_payload, normalize
 
 from oracles import brute_force_duplicates, oracle_normalize
@@ -26,6 +29,8 @@ class TestNormalize:
         assert normalize(once, True) == once
 
     @given(st.binary(max_size=200))
+    @example(b"\r\t\n")
+    @example(b"a\r \r\n")
     def test_matches_oracle(self, data):
         assert normalize(data, True) == oracle_normalize(data, True)
 
@@ -124,8 +129,10 @@ class TestFindDuplicates:
 
     def test_binary_read_in_chunks_hashes_whole_file(self, tmp_path):
         blob = bytes(random.Random(3).getrandbits(8) for _ in range(1 << 12)) * 600  # 2.3 MiB
-        near_miss = blob[:-1] + bytes([blob[-1] ^ 1])
-        for name, data in (("a.bin", blob), ("b.bin", blob), ("c.bin", near_miss)):
+        near_miss = blob[:-1] + bytes([blob[-1] ^ 1])  # differs in the last 1 MiB chunk only
+        first_miss = bytes([blob[0] ^ 1]) + blob[1:]  # differs in the first chunk only
+        for name, data in (("a.bin", blob), ("b.bin", blob), ("c.bin", near_miss),
+                           ("d.bin", first_miss)):
             (tmp_path / name).write_bytes(data)
         groups = find_duplicates(sorted(tmp_path.iterdir()))
         assert [g.members for g in groups] == [(tmp_path / "a.bin", tmp_path / "b.bin")]
@@ -160,3 +167,111 @@ class TestFindDuplicates:
         groups = find_duplicates(list(tmp_path.iterdir()))
         assert [g.size for g in groups] == sorted([g.size for g in groups], reverse=True)
 
+    def test_missing_unique_size_binary_collected(self, tmp_path):
+        present = tmp_path / "a.stl"
+        present.write_bytes(b"\x00" * 100)
+        missing = tmp_path / "gone.stl"
+        errors: list = []
+        assert find_duplicates([present, missing], errors=errors) == []
+        assert [path for path, _ in errors] == [missing]
+
+    def test_unique_size_binary_read_no_further_than_its_head(self, tmp_path, monkeypatch):
+        unique = tmp_path / "unique.bin"
+        unique.write_bytes(bytes(range(256)) * 12_000)  # 3 MB
+        twin = bytes(range(255, -1, -1)) * 5_000
+        for name in ("a.bin", "b.bin"):
+            (tmp_path / name).write_bytes(twin)
+        served: dict[Path, int] = {}
+        real_open = Path.open
+
+        class Counting:
+            def __init__(self, path, fh):
+                self.path, self.fh = path, fh
+
+            def read(self, size=-1):
+                data = self.fh.read(size)
+                served[self.path] = served.get(self.path, 0) + len(data)
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(Path, "open",
+                            lambda path, *args: Counting(path, real_open(path, *args)))
+        groups = find_duplicates([unique, tmp_path / "a.bin", tmp_path / "b.bin"])
+        assert [g.members for g in groups] == [(tmp_path / "a.bin", tmp_path / "b.bin")]
+        assert served[unique] <= 1024
+        assert served[tmp_path / "a.bin"] >= len(twin)
+
+    def test_member_vanishing_before_confirmation_reported_once(self, tmp_path, monkeypatch):
+        paths = [tmp_path / name for name in ("a.bin", "b.bin", "c.bin")]
+        for path in paths:
+            path.write_bytes(b"\x01mesh" * 300)
+        keyed = dedup._size_key
+
+        def key_then_vanish(path):
+            key = keyed(path)
+            if path.name == "b.bin":
+                path.unlink()
+            return key
+
+        monkeypatch.setattr(dedup, "_size_key", key_then_vanish)
+        errors: list = []
+        groups = find_duplicates(paths, errors=errors)
+        assert [g.members for g in groups] == [(paths[0], paths[2])]
+        assert [path for path, _ in errors] == [paths[1]]
+
+
+SMALL_CHUNK = 64  # confirmation chunk in the property below, so small files span several
+
+
+@st.composite
+def colliding_files(draw) -> dict[str, bytes]:
+    """Files whose normalized sizes collide on purpose: binaries that differ
+    only in their first or last chunk, empty files, whitespace and CRLF
+    text twins, a binary holding a text's normalized bytes, and an ASCII
+    and a binary STL of equal normalized size."""
+    files = {"empty.txt": b"", "empty.bin": b"", "empty.stl": b""}
+    for i in range(draw(st.integers(1, 3))):
+        # a shared first KiB puts near misses in one bucket, so only confirmation splits them
+        pad = draw(st.sampled_from([b"", b"x" * 1100]))
+        blob = pad + draw(st.binary(min_size=1, max_size=3 * SMALL_CHUNK))
+        files[f"b{i}.bin"] = files[f"b{i}_copy.stl"] = blob
+        files[f"b{i}_first.bin"] = bytes([blob[0] ^ 1]) + blob[1:]
+        files[f"b{i}_last.bin"] = blob[:-1] + bytes([blob[-1] ^ 1])
+        text = pad + draw(st.text(alphabet="ab<>/ \t\r\n", max_size=3 * SMALL_CHUNK)).encode()
+        files[f"t{i}.urdf"] = text
+        files[f"t{i}_crlf.dae"] = text.replace(b"\n", b"\r\n")
+        files[f"t{i}_padded.txt"] = text.replace(b"<", b" \t<")
+        files[f"t{i}_normalized.bin"] = oracle_normalize(text, True)
+        ascii_stl = b"solid " + text
+        files[f"t{i}_ascii.stl"] = ascii_stl
+        files[f"t{i}_binary.stl"] = (b"\x00" + blob * len(ascii_stl))[
+            :len(oracle_normalize(ascii_stl, True))]
+    return files
+
+
+@settings(max_examples=60, deadline=None)
+@given(colliding_files())
+def test_size_collisions_match_oracle(files):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dedup, "_CHUNK", SMALL_CHUNK):
+        paths = []
+        for name, data in files.items():
+            paths.append(Path(tmp) / name)
+            paths[-1].write_bytes(data)
+        errors: list = []
+        groups = find_duplicates(paths, errors=errors)
+        assert errors == []
+        assert {frozenset(g.members) for g in groups} == brute_force_duplicates(paths)
+        assert groups == sorted(groups, key=lambda g: (-g.size, str(g.members[0])))
+        for group in groups:
+            assert list(group.members) == sorted(group.members, key=str)
+            data = group.members[0].read_bytes()
+            content = oracle_normalize(data, is_text_payload(group.members[0], data[:1024]))
+            assert (group.size, group.digest) == (len(content), hashlib.md5(content).hexdigest())

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +42,12 @@ class TestParseListing1:
 
     def test_no_notices(self, listing1):
         assert parse_urdf(listing1).notices == ()
+
+
+def test_parse_leaves_no_cyclic_garbage(listing1):
+    gc.collect()
+    parse_urdf(listing1)
+    assert gc.collect() == 0  # the document tree was freed by reference counting
 
 
 def test_minimal_robot():

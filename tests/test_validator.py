@@ -173,6 +173,13 @@ class TestKinematicSanity:
         diags = kinematic_sanity(parse_urdf(text))
         assert any("cycle" in d.message for d in diags)
 
+    def test_no_root_without_cycle_is_not_a_cycle(self):
+        text = ('<robot name="r"><link name="a"/>'
+                + joint("fixed", name="j", parent="ghost", child="a") + "</robot>")
+        diags = kinematic_sanity(parse_urdf(text))
+        assert [(d.code, d.subject, d.message) for d in diags] == [
+            ("W_OTHER", "r", "joint graph has no root link")]
+
     def test_validated_model_never_aborts(self, listing1):
         result = validate(listing1)
         assert isinstance(kinematic_sanity(result.model), list)
