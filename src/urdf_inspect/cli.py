@@ -157,7 +157,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return EXIT_IO
     # a path named *.urdf is one file, as in the tree walk, even if it is a directory
     walk = path.is_dir() and not path.match("*.urdf")
-    files = sorted(path.rglob("*.urdf")) if walk else [path]
+    files = (sorted(p for p in path.rglob("*.urdf") if not bundles._hidden(p, path))
+             if walk else [path])
 
     rows: list[tuple[str, Diagnostic]] = []
     failed = False

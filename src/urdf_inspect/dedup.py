@@ -2,17 +2,21 @@
 
 Text files are compared with spaces and tabs removed and every line
 break rewritten as CRLF; binary files are compared verbatim.  Two stages
-run on the calling thread.  The size stage reads each file's first KiB
-to tell text from binary, then keys a binary by its size on disk and a
-text file by its normalized length, each with a CRC-32 of its first
-normalized KiB, so a binary whose key no other file shares is never read
-past its head.  Confirmation reads the members of each shared key in
-lockstep through ``_normalized_chunks``, 1 MiB at a time, and splits
-them into classes of identical content after every chunk; a class of one
-stops being read, and each class keeps one running MD5 of what its
-members read, which becomes the group's digest.  Byte equality, never
-the digest, decides membership.
-"""
+run on the calling thread.  The head stage reads each file's first KiB
+to tell text from binary.  A binary is keyed by its size on disk and a
+CRC-32 of that KiB, so a binary whose key no other file shares is never
+read past its head.  A text file is keyed by the CRC-32 of its first
+normalized KiB alone, read only as far as that KiB needs; a text head
+also takes in every binary with the same head CRC, since a binary can
+hold a text's normalized bytes.  Confirmation reads the members of each
+shared key in lockstep through ``_normalized_chunks``, 1 MiB at a time,
+normalizing text as it goes with a trailing CR carried to the next read,
+and splits them into classes of identical content after every chunk; a
+class of one stops being read.  So a text file is normalized at most
+once, and only when another file shares its head.  Each class keeps the
+size and one running MD5 of what its members read, which become the
+group's size and digest.  Byte equality, never the digest, decides
+membership."""
 
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "DuplicateGroup",
@@ -33,6 +37,7 @@ __all__ = [
 
 TEXT_EXTENSIONS = {"urdf", "xacro", "dae", "obj", "mtl", "xml", "json", "txt", "md"}
 _CHUNK = 1 << 20
+_BLANKS = b" \t"
 
 
 @dataclass(frozen=True)
@@ -46,9 +51,11 @@ class DuplicateGroup:
 
 def normalize(content: bytes, is_text: bool) -> bytes:
     """Drop spaces/tabs and force CRLF line endings; binary passes through."""
-    if not is_text:
-        return content
-    stripped = content.translate(None, b" \t")
+    return _crlf(content.translate(None, _BLANKS)) if is_text else content
+
+
+def _crlf(stripped: bytes) -> bytes:
+    """Rewrite every line break (CRLF, lone CR or lone LF) as CRLF."""
     return stripped.replace(b"\r\n", b"\n").replace(b"\r", b"\n").replace(b"\n", b"\r\n")
 
 
@@ -68,47 +75,51 @@ def is_text_payload(path: Path, head: bytes) -> bool:
     return False
 
 
-def _sniff(path: Path, fh: BinaryIO) -> tuple[bytes, bytes | None]:
-    """Read the head of an open file: the first KiB of its normalized
-    content, and the whole normalized content if it is text (None if not)."""
-    head = fh.read(1024)
-    if not is_text_payload(path, head):
-        return head, None
-    fh.seek(0)
-    text = normalize(fh.read(), True)
-    return text[:1024], text
+def _head_key(path: Path) -> tuple[int, int | None]:
+    """CRC-32 of the first normalized KiB, with the size on disk for a
+    binary and None for a text file, whose normalized size is unknown
+    until it is read whole.
 
-
-def _size_key(path: Path) -> tuple[int, int]:
-    """Normalized size and a checksum of the normalized first KiB; files
-    that differ in either cannot be identical."""
+    ``normalize(raw[:k])`` is a prefix of ``normalize(raw)``, so a text
+    file is read only until its prefix normalizes to a KiB or it ends."""
     with path.open("rb") as fh:
-        head, text = _sniff(path, fh)
-        size = os.fstat(fh.fileno()).st_size if text is None else len(text)
-    return size, zlib.crc32(head)
+        raw = fh.read(1024)
+        if not is_text_payload(path, raw):
+            return zlib.crc32(raw), os.fstat(fh.fileno()).st_size
+        head = normalize(raw, True)
+        while len(head) < 1024 and (more := fh.read(len(raw))):
+            raw += more
+            head = normalize(raw, True)
+    return zlib.crc32(head[:1024]), None
 
 
 def _normalized_chunks(path: Path) -> Iterator[bytes]:
-    """The normalized content of one file in ``_CHUNK`` pieces, so files of
-    one size split at the same offsets whether text or binary.  No file
-    stays open between pieces: a bucket may hold more files than can be
-    open at once."""
-    with path.open("rb") as fh:
-        if (text := _sniff(path, fh)[1]) is None:
-            fh.seek(0)
-            chunk = fh.read(_CHUNK)
-    if text is not None:
-        yield from (text[start:start + _CHUNK] for start in range(0, len(text), _CHUNK))
-        return
-    offset = 0
-    while chunk:
-        yield chunk
-        if len(chunk) < _CHUNK:  # a short read ends the file
-            return
-        offset += len(chunk)
+    """The normalized content of one file in ``_CHUNK`` pieces, so text and
+    binary files split at the same offsets.  Text is normalized one raw
+    read at a time; a CR ending a read (after its blanks are dropped) is
+    carried over, as it may be the first half of a CRLF.  No file stays
+    open between reads: a bucket may hold more files than can be open at
+    once."""
+    offset, carry, pending, text = 0, b"", b"", None
+    while True:
         with path.open("rb") as fh:
+            if text is None:
+                text = is_text_payload(path, fh.read(1024))
             fh.seek(offset)
-            chunk = fh.read(_CHUNK)
+            # no larger than what is left: a read allocates all it asks for
+            raw = fh.read(min(_CHUNK, max(0, os.fstat(fh.fileno()).st_size - offset)))
+        offset += len(raw)
+        end = len(raw) < _CHUNK  # a short read ends the file
+        if text:
+            raw = carry + raw.translate(None, _BLANKS)
+            carry = b"\r" if not end and raw.endswith(b"\r") else b""
+            raw = _crlf(raw[:len(raw) - len(carry)])
+        pending += raw
+        cut = len(pending) if end else len(pending) - len(pending) % _CHUNK
+        yield from (pending[start:start + _CHUNK] for start in range(0, cut, _CHUNK))
+        if end:
+            return
+        pending = pending[cut:]
 
 
 def find_duplicates(paths: Iterable[Path | str],
@@ -122,32 +133,38 @@ def find_duplicates(paths: Iterable[Path | str],
     """
     if errors is None:
         errors = []
-    buckets: dict[tuple[int, int], list[Path]] = {}
+    buckets: dict[tuple[int, int | None], list[Path]] = {}
     for path in sorted({Path(p) for p in paths}, key=str):
         try:
-            buckets.setdefault(_size_key(path), []).append(path)
+            buckets.setdefault(_head_key(path), []).append(path)
         except OSError as exc:
             errors.append((path, exc))
+    # a binary may hold a text's normalized bytes, so a text head takes in
+    # every binary of the same head, whatever its size
+    text_heads = {head for head, size in buckets if size is None}
+    for head, size in list(buckets):
+        if size is not None and head in text_heads:
+            buckets[head, None] = sorted(buckets[head, None] + buckets.pop((head, size)), key=str)
 
     groups = [DuplicateGroup(tuple(members), size, digest)
-              for (size, _), bucket in buckets.items() if len(bucket) >= 2
-              for members, digest in _identical_classes(bucket, errors)]
+              for bucket in buckets.values() if len(bucket) >= 2
+              for members, size, digest in _identical_classes(bucket, errors)]
     groups.sort(key=lambda g: (-g.size, str(g.members[0])))
     return groups
 
 
 def _identical_classes(bucket: list[Path],
-                       errors: list[tuple[Path, OSError]]) -> list[tuple[list[Path], str]]:
-    """Split a bucket of one size key into classes of identical content,
-    of two or more members each, with the MD5 of that content.
+                       errors: list[tuple[Path, OSError]]) -> list[tuple[list[Path], int, str]]:
+    """Split a bucket into classes of identical normalized content, of two
+    or more members each, with the size and MD5 of that content.
 
     The members of a class are read in lockstep, one chunk each, and the
     class splits by the chunk they read; a class of one is not read on.
     """
-    done: list[tuple[list[Path], str]] = []
-    reading = [([(path, _normalized_chunks(path)) for path in bucket], hashlib.md5())]
+    done: list[tuple[list[Path], int, str]] = []
+    reading = [([(path, _normalized_chunks(path)) for path in bucket], 0, hashlib.md5())]
     while reading:
-        streams, md5 = reading.pop()
+        streams, size, md5 = reading.pop()
         split: list[tuple[bytes | None, list[tuple[Path, Iterator[bytes]]]]] = []
         for path, chunks in streams:
             try:
@@ -163,9 +180,9 @@ def _identical_classes(bucket: list[Path],
             if len(same) < 2:
                 continue
             if chunk is None:
-                done.append(([path for path, _ in same], md5.hexdigest()))
+                done.append(([path for path, _ in same], size, md5.hexdigest()))
                 continue
             running = md5.copy() if len(split) > 1 else md5
             running.update(chunk)
-            reading.append((same, running))
+            reading.append((same, size + len(chunk), running))
     return done

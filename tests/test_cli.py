@@ -51,6 +51,15 @@ class TestValidateCommand:
         (tmp_path / "bad.urdf").write_text("<robot><link>")
         assert run_cli(["validate", str(tmp_path)]) == 1
 
+    def test_directory_walk_skips_hidden_entries(self, tmp_path):
+        (tmp_path / "d" / ".snap").mkdir(parents=True)
+        (tmp_path / "d" / "ok.urdf").write_text(LISTING1)
+        (tmp_path / "d" / ".snap" / "a.urdf").write_text("<robot><link>")
+        (tmp_path / "d" / ".b.urdf").write_text("<robot><link>")
+        out = tmp_path / "out"
+        assert run_cli(["--out", str(out), "validate", str(tmp_path / "d")]) == 0
+        assert read_csv(out / "parsing_errors.csv")[1:] == []
+
     def test_missing_path_exits_three(self, tmp_path):
         assert run_cli(["validate", str(tmp_path / "ghost.urdf")]) == 3
 

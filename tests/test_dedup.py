@@ -1,9 +1,12 @@
 import hashlib
 import random
 import tempfile
+import tracemalloc
+import zlib
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from urdf_inspect import dedup
@@ -94,6 +97,35 @@ def make_fixture_tree(root: Path, rng: random.Random, n_payloads: int = 40) -> l
     return paths
 
 
+@pytest.fixture
+def served(monkeypatch) -> dict[Path, int]:
+    """Bytes that reads through ``Path.open`` served, per path."""
+    served: dict[Path, int] = {}
+    real_open = Path.open
+
+    class Counting:
+        def __init__(self, path, fh):
+            self.path, self.fh = path, fh
+
+        def read(self, size=-1):
+            data = self.fh.read(size)
+            served[self.path] = served.get(self.path, 0) + len(data)
+            return data
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(Path, "open",
+                        lambda path, *args, **kw: Counting(path, real_open(path, *args, **kw)))
+    return served
+
+
 class TestFindDuplicates:
     def test_identical_copies_grouped(self, tmp_path):
         a, b = tmp_path / "s1" / "x.urdf", tmp_path / "s2" / "x.urdf"
@@ -175,45 +207,51 @@ class TestFindDuplicates:
         assert find_duplicates([present, missing], errors=errors) == []
         assert [path for path, _ in errors] == [missing]
 
-    def test_unique_size_binary_read_no_further_than_its_head(self, tmp_path, monkeypatch):
+    def test_unique_size_binary_read_no_further_than_its_head(self, tmp_path, served):
         unique = tmp_path / "unique.bin"
         unique.write_bytes(bytes(range(256)) * 12_000)  # 3 MB
         twin = bytes(range(255, -1, -1)) * 5_000
         for name in ("a.bin", "b.bin"):
             (tmp_path / name).write_bytes(twin)
-        served: dict[Path, int] = {}
-        real_open = Path.open
-
-        class Counting:
-            def __init__(self, path, fh):
-                self.path, self.fh = path, fh
-
-            def read(self, size=-1):
-                data = self.fh.read(size)
-                served[self.path] = served.get(self.path, 0) + len(data)
-                return data
-
-            def __getattr__(self, name):
-                return getattr(self.fh, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        monkeypatch.setattr(Path, "open",
-                            lambda path, *args: Counting(path, real_open(path, *args)))
         groups = find_duplicates([unique, tmp_path / "a.bin", tmp_path / "b.bin"])
         assert [g.members for g in groups] == [(tmp_path / "a.bin", tmp_path / "b.bin")]
         assert served[unique] <= 1024
         assert served[tmp_path / "a.bin"] >= len(twin)
 
+    def test_unique_head_text_read_no_further_than_its_head(self, tmp_path, served):
+        unique = tmp_path / "unique.dae"
+        unique.write_bytes(b"".join(b"<p> %d %d %d </p>\n" % (i, i + 1, i + 2)
+                                    for i in range(150_000)))  # 3 MB
+        twin = b"<robot name='r'>\n  <link name='l'/>\n</robot>\n" * 3_000
+        (tmp_path / "a.urdf").write_bytes(twin)
+        (tmp_path / "b.urdf").write_bytes(twin.replace(b"\n", b"\r\n").replace(b"  ", b"\t"))
+        groups = find_duplicates([unique, tmp_path / "a.urdf", tmp_path / "b.urdf"])
+        assert [g.members for g in groups] == [(tmp_path / "a.urdf", tmp_path / "b.urdf")]
+        assert groups[0].size == len(normalize(twin, True))
+        assert served[unique] <= 4096
+        assert served[tmp_path / "a.urdf"] >= len(twin)
+
+    def test_text_twins_confirmed_in_bounded_memory(self, tmp_path):
+        line = b"  <float_array> 0.1250 -3.5000\t7.0625 </float_array>\n"
+        body = line * ((8 << 20) // len(line) + 1)  # 8 MiB
+        a, b = tmp_path / "a.dae", tmp_path / "b.dae"
+        a.write_bytes(body)
+        b.write_bytes(body.replace(b"\n", b"\r\n").replace(b" ", b"\t"))
+        del body
+        tracemalloc.start()
+        try:
+            groups = find_duplicates([a, b])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [g.members for g in groups] == [(a, b)]
+        assert peak < 16 << 20
+
     def test_member_vanishing_before_confirmation_reported_once(self, tmp_path, monkeypatch):
         paths = [tmp_path / name for name in ("a.bin", "b.bin", "c.bin")]
         for path in paths:
             path.write_bytes(b"\x01mesh" * 300)
-        keyed = dedup._size_key
+        keyed = dedup._head_key
 
         def key_then_vanish(path):
             key = keyed(path)
@@ -221,7 +259,7 @@ class TestFindDuplicates:
                 path.unlink()
             return key
 
-        monkeypatch.setattr(dedup, "_size_key", key_then_vanish)
+        monkeypatch.setattr(dedup, "_head_key", key_then_vanish)
         errors: list = []
         groups = find_duplicates(paths, errors=errors)
         assert [g.members for g in groups] == [(paths[0], paths[2])]
@@ -275,3 +313,54 @@ def test_size_collisions_match_oracle(files):
             data = group.members[0].read_bytes()
             content = oracle_normalize(data, is_text_payload(group.members[0], data[:1024]))
             assert (group.size, group.digest) == (len(content), hashlib.md5(content).hexdigest())
+
+
+LINE_BYTES = st.sampled_from([b" ", b"\t", b"\r", b"\n"])
+
+
+@st.composite
+def text_across_pieces(draw) -> tuple[int, bytes]:
+    """A piece size and text whose blanks and line breaks straddle the
+    boundaries of raw reads of that size."""
+    chunk = draw(st.sampled_from([7, 64]))
+    data = b""
+    for _ in range(draw(st.integers(0, 8))):
+        # filler up to a few bytes before a boundary, then a run of blanks and breaks
+        before = draw(st.integers(1, 4))
+        filler = (-len(data) - before) % chunk + chunk * draw(st.integers(0, 1))
+        data += draw(st.binary(min_size=filler, max_size=filler))
+        data += b"".join(draw(st.lists(LINE_BYTES, min_size=1, max_size=3 * chunk)))
+    return chunk, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_across_pieces())
+@example((7, b"abcdef\r\nxyz"))
+@example((7, b"abcdef\r" + b" \t" * 7 + b"\nq"))
+@example((7, b"abcdef\r"))
+@example((64, b""))
+def test_streamed_normalization_matches_whole(case):
+    chunk, data = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dedup, "_CHUNK", chunk):
+        path = Path(tmp) / "t.urdf"
+        path.write_bytes(data)
+        pieces = list(dedup._normalized_chunks(path))
+    assert b"".join(pieces) == normalize(data, True)
+    assert all(len(piece) == chunk for piece in pieces[:-1])
+    assert all(pieces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lead=st.sampled_from([b"", b" " * 5000, b"\t \t" * 1500, b"\n" * 5000, b" \r \t\n" * 1200]),
+       body=st.binary(max_size=3000))
+def test_text_key_is_crc_of_normalized_head(lead, body):
+    data = lead + body
+    content = normalize(data, True)
+    twins = {"t.urdf": data, "padded.xml": data.replace(b"<", b" \t<"),
+             "normalized.txt": content, "lf.dae": content.replace(b"\r\n", b"\n")}
+    with tempfile.TemporaryDirectory() as tmp:
+        keys = set()
+        for name, twin in twins.items():
+            (Path(tmp) / name).write_bytes(twin)
+            keys.add(dedup._head_key(Path(tmp) / name))
+    assert keys == {(zlib.crc32(content[:1024]), None)}
