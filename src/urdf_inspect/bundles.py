@@ -8,7 +8,9 @@ meta file plus the URDF and mesh files it describes.
 
 from __future__ import annotations
 
+import fnmatch
 import json
+import os
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -125,18 +127,29 @@ def _load_json(path: Path):
         return None
 
 
-def _hidden(path: Path, base: Path) -> bool:
-    """True when any part of ``path`` below ``base`` starts with a dot."""
-    return any(part.startswith(".") for part in path.relative_to(base).parts)
+def _text(value, default: str) -> str:
+    """``value`` when it is a non-empty string, else ``default``."""
+    return value if isinstance(value, str) and value else default
+
+
+def _walk(base: Path, pattern: str = "*") -> list[Path]:
+    """Files and directories below ``base`` whose name matches ``pattern``, in
+    path order.  Hidden ones (named ``.*``) are left out and never entered."""
+    found: list[Path] = []
+    for top, dirs, files in os.walk(base):
+        dirs[:] = [d for d in dirs if not d.startswith(".")]
+        found += [Path(top, name) for name in fnmatch.filter(dirs + files, pattern)
+                  if not name.startswith(".")]
+    return sorted(found)
 
 
 def scan_corpus(root: Path | str) -> list[BundleRecord]:
     """Walk a corpus tree and return one record per described URDF.
 
     Missing or broken metadata degrades to records with notices, never
-    to failures; only an unreadable root raises.  Hidden entries (any
-    path part starting with a dot) are skipped.  Output is ordered by
-    (source, id, urdf path) and stable across runs.
+    to failures; only an unreadable root raises.  Hidden entries (a name
+    starting with a dot) are skipped.  Output is ordered by (source, id,
+    urdf path) and stable across runs.
     """
     root = Path(root)
     if not root.is_dir():
@@ -145,18 +158,17 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
         root = root / "urdf_files"
 
     records: list[BundleRecord] = []
-    for source_dir in sorted(p for p in root.iterdir() if p.is_dir() and not _hidden(p, root)):
+    for source_dir in sorted(p for p in root.iterdir() if not p.name.startswith(".") and p.is_dir()):
         source_name = source_dir.name
         source_url = ""
         info = _load_json(source_dir / "source-information.json")
         if isinstance(info, dict):
-            source_name = info.get("name", source_name) or source_name
-            source_url = info.get("url", "") or _meta_get(info, "url", "")
+            source_name = _text(info.get("name"), source_name)
+            source_url = _text(info.get("url"), "") or _text(_meta_get(info, "url"), "")
 
         described: set[Path] = set()
         source_records: list[BundleRecord] = []
-        for meta_path in sorted(p for p in source_dir.rglob("meta-information.json")
-                                if not _hidden(p, source_dir)):
+        for meta_path in _walk(source_dir, "meta-information.json"):
             bundle_dir = meta_path.parent
             data = _load_json(meta_path)
             entries = data if isinstance(data, list) else [data] if isinstance(data, dict) else []
@@ -189,8 +201,8 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
                     notices=tuple(notices),
                 ))
 
-        for urdf in sorted(source_dir.rglob("*.urdf")):
-            if not _hidden(urdf, source_dir) and urdf.resolve() not in described:
+        for urdf in _walk(source_dir, "*.urdf"):
+            if urdf.resolve() not in described:
                 source_records.append(BundleRecord(
                     id=str(urdf.relative_to(source_dir)),
                     robot_name="",
@@ -239,7 +251,7 @@ def _has_layout(bundle_dir: Path, urdf_folder: str) -> bool:
     folder = bundle_dir / urdf_folder
     if not folder.is_dir() or not (bundle_dir / "meshes").is_dir():
         return False
-    return any(not _hidden(p, folder) for p in folder.rglob("*.urdf"))
+    return bool(_walk(folder, "*.urdf"))
 
 
 def classify_structure(bundle_dir: Path | str) -> StructureClass:
@@ -346,11 +358,8 @@ def detect_license(bundle_dir: Path | str) -> LicenseId:
     """Fingerprint LICENSE/COPYING-style files under a bundle directory,
     skipping hidden entries."""
     bundle_dir = Path(bundle_dir)
-    candidates = sorted(
-        (p for p in bundle_dir.rglob("*")
-         if p.is_file() and _LICENSE_FILE.match(p.name) and not _hidden(p, bundle_dir)),
-        key=lambda p: str(p.relative_to(bundle_dir)),
-    )
+    candidates = sorted((p for p in _walk(bundle_dir) if _LICENSE_FILE.match(p.name) and p.is_file()),
+                        key=str)
     for path in candidates:
         try:
             text = path.read_text(encoding="utf-8", errors="replace")

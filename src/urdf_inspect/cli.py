@@ -157,8 +157,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return EXIT_IO
     # a path named *.urdf is one file, as in the tree walk, even if it is a directory
     walk = path.is_dir() and not path.match("*.urdf")
-    files = (sorted(p for p in path.rglob("*.urdf") if not bundles._hidden(p, path))
-             if walk else [path])
+    files = bundles._walk(path, "*.urdf") if walk else [path]
 
     rows: list[tuple[str, Diagnostic]] = []
     failed = False
@@ -222,9 +221,8 @@ def _stats_tables(corpus: _Corpus) -> list[report.ReportTable]:
 
 
 def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
-    files = sorted({p for p in corpus.root.rglob("*")
-                    if p.is_file() and not bundles._hidden(p, corpus.root)
-                    and p.name not in ("source-information.json", "meta-information.json")})
+    files = [p for p in bundles._walk(corpus.root)
+             if p.is_file() and p.name not in ("source-information.json", "meta-information.json")]
     io_errors: list = []
     groups = dedup.find_duplicates(files, errors=io_errors)
     for path, exc in io_errors:

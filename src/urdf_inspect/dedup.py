@@ -3,20 +3,18 @@
 Text files are compared with spaces and tabs removed and every line
 break rewritten as CRLF; binary files are compared verbatim.  Two stages
 run on the calling thread.  The head stage reads each file's first KiB
-to tell text from binary.  A binary is keyed by its size on disk and a
-CRC-32 of that KiB, so a binary whose key no other file shares is never
-read past its head.  A text file is keyed by the CRC-32 of its first
-normalized KiB alone, read only as far as that KiB needs; a text head
-also takes in every binary with the same head CRC, since a binary can
-hold a text's normalized bytes.  Confirmation reads the members of each
-shared key in lockstep through ``_normalized_chunks``, 1 MiB at a time,
-normalizing text as it goes with a trailing CR carried to the next read,
-and splits them into classes of identical content after every chunk; a
-class of one stops being read.  So a text file is normalized at most
-once, and only when another file shares its head.  Each class keeps the
-size and one running MD5 of what its members read, which become the
-group's size and digest.  Byte equality, never the digest, decides
-membership."""
+to tell text from binary and keys every file by the CRC-32 of its first
+normalized KiB, reading a text file only as far as that KiB needs.  A
+file whose key no other file shares is never read further; a text file
+and a binary holding its normalized bytes share a key.  Confirmation
+reads the members of each shared key in lockstep through
+``_normalized_chunks``, 1 MiB at a time, normalizing text as it goes
+with a trailing CR carried to the next read, and splits them into
+classes of identical content after every chunk; a class of one stops
+being read.  So a text file is normalized at most once, and only when
+another file shares its head.  Each class keeps the size and one running
+MD5 of what its members read, which become the group's size and digest.
+Byte equality, never the digest, decides membership."""
 
 from __future__ import annotations
 
@@ -75,22 +73,20 @@ def is_text_payload(path: Path, head: bytes) -> bool:
     return False
 
 
-def _head_key(path: Path) -> tuple[int, int | None]:
-    """CRC-32 of the first normalized KiB, with the size on disk for a
-    binary and None for a text file, whose normalized size is unknown
-    until it is read whole.
+def _head_key(path: Path) -> int:
+    """CRC-32 of the first normalized KiB.
 
     ``normalize(raw[:k])`` is a prefix of ``normalize(raw)``, so a text
     file is read only until its prefix normalizes to a KiB or it ends."""
     with path.open("rb") as fh:
         raw = fh.read(1024)
         if not is_text_payload(path, raw):
-            return zlib.crc32(raw), os.fstat(fh.fileno()).st_size
+            return zlib.crc32(raw)
         head = normalize(raw, True)
         while len(head) < 1024 and (more := fh.read(len(raw))):
             raw += more
             head = normalize(raw, True)
-    return zlib.crc32(head[:1024]), None
+    return zlib.crc32(head[:1024])
 
 
 def _normalized_chunks(path: Path) -> Iterator[bytes]:
@@ -133,19 +129,12 @@ def find_duplicates(paths: Iterable[Path | str],
     """
     if errors is None:
         errors = []
-    buckets: dict[tuple[int, int | None], list[Path]] = {}
+    buckets: dict[int, list[Path]] = {}
     for path in sorted({Path(p) for p in paths}, key=str):
         try:
             buckets.setdefault(_head_key(path), []).append(path)
         except OSError as exc:
             errors.append((path, exc))
-    # a binary may hold a text's normalized bytes, so a text head takes in
-    # every binary of the same head, whatever its size
-    text_heads = {head for head, size in buckets if size is None}
-    for head, size in list(buckets):
-        if size is not None and head in text_heads:
-            buckets[head, None] = sorted(buckets[head, None] + buckets.pop((head, size)), key=str)
-
     groups = [DuplicateGroup(tuple(members), size, digest)
               for bucket in buckets.values() if len(bucket) >= 2
               for members, size, digest in _identical_classes(bucket, errors)]

@@ -60,12 +60,13 @@ def emit(table: ReportTable, format: str, sink: BinaryIO) -> int:
         writer.writerow(table.columns)
         for row in table.rows:
             writer.writerow([_csv_cell(v) for v in row])
-        payload = buffer.getvalue().encode("utf-8")
+        text = buffer.getvalue()
     elif format == "json":
         objects = [dict(zip(table.columns, row)) for row in table.rows]
-        payload = (json.dumps(objects, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        text = json.dumps(objects, indent=2, ensure_ascii=False) + "\n"
     else:
         raise ValueError(f"unknown format {format!r}")
+    payload = text.encode("utf-8", errors="backslashreplace")  # non-UTF-8 file names
     sink.write(payload)
     return len(payload)
 

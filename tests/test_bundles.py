@@ -86,6 +86,16 @@ class TestScanCorpus:
         ]))
         assert len(scan_corpus(tmp_path / "corpus")) == 2
 
+    @pytest.mark.parametrize("value", [5, ["x"], None])
+    def test_non_string_source_name_falls_back(self, tmp_path, value):
+        root = tmp_path / "corpus"
+        for name in ("odd", "plain"):
+            (write_source(root, name) / "r.urdf").write_text(simple_urdf("r"))
+        (root / "odd" / "source-information.json").write_text(
+            json.dumps({"name": value, "url": value, "source-url": "https://odd"}))
+        assert [(r.source_name, r.source_url) for r in scan_corpus(root)] == [
+            ("odd", "https://odd"), ("plain", "https://example.org/plain")]
+
     def test_rescan_is_idempotent(self, small_corpus):
         assert scan_corpus(small_corpus) == scan_corpus(small_corpus)
 

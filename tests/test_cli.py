@@ -60,6 +60,23 @@ class TestValidateCommand:
         assert run_cli(["--out", str(out), "validate", str(tmp_path / "d")]) == 0
         assert read_csv(out / "parsing_errors.csv")[1:] == []
 
+    def test_directory_walk_rows_in_path_order(self, tmp_path):
+        (tmp_path / "d" / "a").mkdir(parents=True)
+        (tmp_path / "d" / "a" / "b.urdf").write_text("<robot><link>")
+        (tmp_path / "d" / "a.b.urdf").write_text("<robot><link>")
+        out = tmp_path / "out"
+        assert run_cli(["--out", str(out), "validate", str(tmp_path / "d")]) == 1
+        assert [row[0] for row in read_csv(out / "parsing_errors.csv")[1:]] == [
+            "a/b.urdf", "a.b.urdf"]  # path order; a str sort puts a.b.urdf first
+
+    def test_undecodable_file_name_is_an_f_row(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / os.fsdecode(b"\xffbad.urdf")).write_text("<robot><link>")
+        out = tmp_path / "out"
+        assert run_cli(["--out", str(out), "validate", str(tmp_path / "d")]) == 1
+        assert read_csv(out / "parsing_errors.csv")[1:] == [
+            ["\\udcffbad.urdf", "error", "F", "document", "1", "no element found: line 1, column 13"]]
+
     def test_missing_path_exits_three(self, tmp_path):
         assert run_cli(["validate", str(tmp_path / "ghost.urdf")]) == 3
 
@@ -237,6 +254,26 @@ class TestScanCommand:
         licenses = {row[0]: row[1:] for row in read_csv(out / "licenses.csv")}
         assert licenses["s1"] == licenses["s2"] == ["0", "0", "0", "0", "1"]
 
+    def test_hidden_directories_never_entered(self, tmp_path, monkeypatch):
+        root = tmp_path / "corpus"
+        bundle = write_bundle(write_source(root, "s1"), "r_description", simple_urdf("r"),
+                              robot_name="r")
+        for level in (root, root / "s1", bundle, bundle / "urdf"):
+            (level / ".git").mkdir()
+            (level / ".git" / "r.urdf").write_text(simple_urdf("r"))
+        scanned = []
+        scandir = os.scandir
+
+        def spy(path="."):
+            scanned.append(Path(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", spy)
+        assert run_cli(["--out", str(tmp_path / "reports"), "scan", str(root)]) == 0
+        below = [p.relative_to(root).parts for p in scanned if p.is_relative_to(root)]
+        assert below
+        assert [parts for parts in below if any(part.startswith(".") for part in parts)] == []
+
     def test_two_runs_byte_identical(self, small_corpus, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         run_cli(["--out", str(out1), "scan", str(small_corpus)])
@@ -267,6 +304,23 @@ class TestDupesCommand:
         cross = read_csv(out / "duplicates_cross_source.csv")
         cells = {row[0]: row for row in cross[1:]}
         assert cells["s1"][2] == "1"  # stl column
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_undecodable_file_name_listed(self, tmp_path, fmt):
+        root = tmp_path / "corpus"
+        name = os.fsdecode(b"\xffmesh.stl")
+        for source in ("s1", "s2"):
+            (root / source / "b").mkdir(parents=True)
+            (root / source / "b" / name).write_bytes(b"\x00mesh" * 64)
+        out = tmp_path / "reports"
+        assert run_cli(["--format", fmt, "--out", str(out), "dupes", str(root)]) == 0
+        if fmt == "csv":
+            assert [row[2] for row in read_csv(out / "duplicates.csv")[1:]] == [
+                "s1/b/\\udcffmesh.stl", "s2/b/\\udcffmesh.stl"]
+        else:  # the JSON escape reads back as the original name
+            assert [row["path"] for row in json.loads((out / "duplicates.json").read_bytes())] == [
+                f"s1/b/{name}", f"s2/b/{name}"]
 
 
 class TestStatsCommand:

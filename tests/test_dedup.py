@@ -363,4 +363,4 @@ def test_text_key_is_crc_of_normalized_head(lead, body):
         for name, twin in twins.items():
             (Path(tmp) / name).write_bytes(twin)
             keys.add(dedup._head_key(Path(tmp) / name))
-    assert keys == {(zlib.crc32(content[:1024]), None)}
+    assert keys == {zlib.crc32(content[:1024])}
