@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
-from .model import Mesh, RobotModel
+from .model import _LINE_BREAK, Mesh, RobotModel
 
 __all__ = [
     "BundleRecord",
@@ -143,78 +143,78 @@ def _walk(base: Path, pattern: str = "*") -> list[Path]:
     return sorted(found)
 
 
+def _corpus_root(root: Path | str) -> Path:
+    """The directory holding the sources: ``root``, or its ``urdf_files/``
+    when there is one.  Raises for a root that is not a directory."""
+    root = Path(root)
+    if not root.is_dir():
+        raise FileNotFoundError(f"corpus root {root} is not a directory")
+    return root / "urdf_files" if (root / "urdf_files").is_dir() else root
+
+
+def _record(source: tuple[str, str], bundle_dir: Path, urdf_path: Path, entry: dict,
+            fallback_id: str, *notices: str) -> BundleRecord:
+    """The record of one URDF; ``source`` is the source's (name, URL) and
+    ``entry`` its meta entry, ``{}`` when none describes it."""
+    source_name, source_url = source
+    return BundleRecord(
+        id=_text(_meta_get(entry, "id"), fallback_id),
+        robot_name=_text(_meta_get(entry, "name"), ""),
+        robot_type=_text(_meta_get(entry, "type"), ""),
+        manufacturer=_text(_meta_get(entry, "manufacturer"), ""),
+        source_name=source_name,
+        source_url=_text(_meta_get(entry, "url"), source_url),
+        urdf_path=urdf_path,
+        xacro_generated_by_dataset=bool(_meta_get(entry, "xacro", False)),
+        root_dir=bundle_dir,
+        notices=notices,
+    )
+
+
 def scan_corpus(root: Path | str) -> list[BundleRecord]:
     """Walk a corpus tree and return one record per described URDF.
 
     Missing or broken metadata degrades to records with notices, never
-    to failures; only an unreadable root raises.  Hidden entries (a name
-    starting with a dot) are skipped.  Output is ordered by (source, id,
-    urdf path) and stable across runs.
+    to failures; only an unreadable root raises.  A metadata text value
+    (name, type, manufacturer, id, URDF location, URL) counts only when
+    it is a non-empty string; anything else reads as a missing key.
+    Hidden entries (a name starting with a dot) are skipped.  Output is
+    ordered by (source, id, urdf path) and stable across runs.
     """
-    root = Path(root)
-    if not root.is_dir():
-        raise FileNotFoundError(f"corpus root {root} is not a directory")
-    if (root / "urdf_files").is_dir():
-        root = root / "urdf_files"
-
+    root = _corpus_root(root)
     records: list[BundleRecord] = []
     for source_dir in sorted(p for p in root.iterdir() if not p.name.startswith(".") and p.is_dir()):
-        source_name = source_dir.name
-        source_url = ""
         info = _load_json(source_dir / "source-information.json")
-        if isinstance(info, dict):
-            source_name = _text(info.get("name"), source_name)
-            source_url = _text(info.get("url"), "") or _text(_meta_get(info, "url"), "")
+        info = info if isinstance(info, dict) else {}
+        source = (_text(info.get("name"), source_dir.name),
+                  _text(info.get("url"), "") or _text(_meta_get(info, "url"), ""))
 
         described: set[Path] = set()
         source_records: list[BundleRecord] = []
         for meta_path in _walk(source_dir, "meta-information.json"):
             bundle_dir = meta_path.parent
             data = _load_json(meta_path)
-            entries = data if isinstance(data, list) else [data] if isinstance(data, dict) else []
+            entries = [e for e in (data if isinstance(data, list) else [data]) if isinstance(e, dict)]
             if not entries:
-                source_records.append(_orphan_placeholder(bundle_dir, source_dir, source_name,
-                                                          "unreadable meta-information.json"))
-                continue
+                source_records.append(_record(source, bundle_dir, Path(), {},
+                                              str(bundle_dir.relative_to(source_dir)),
+                                              "unreadable meta-information.json"))
             for entry in entries:
-                if not isinstance(entry, dict):
-                    continue
+                rel = _text(_meta_get(entry, "urdf"), "")
                 notices = []
-                rel = str(_meta_get(entry, "urdf"))
-                urdf_path = Path(rel) if rel else Path()
                 if not rel:
                     notices.append("metadata gives no URDF location")
-                elif not (bundle_dir / urdf_path).is_file():
+                elif not (bundle_dir / rel).is_file():
                     notices.append(f"described URDF '{rel}' not found on disk")
                 else:
-                    described.add((bundle_dir / urdf_path).resolve())
-                source_records.append(BundleRecord(
-                    id=str(_meta_get(entry, "id")),
-                    robot_name=str(_meta_get(entry, "name")),
-                    robot_type=str(_meta_get(entry, "type")),
-                    manufacturer=str(_meta_get(entry, "manufacturer")),
-                    source_name=source_name,
-                    source_url=str(_meta_get(entry, "url") or source_url),
-                    urdf_path=urdf_path,
-                    xacro_generated_by_dataset=bool(_meta_get(entry, "xacro", False)),
-                    root_dir=bundle_dir,
-                    notices=tuple(notices),
-                ))
+                    described.add((bundle_dir / rel).resolve())
+                source_records.append(_record(source, bundle_dir, Path(rel), entry, "", *notices))
 
         for urdf in _walk(source_dir, "*.urdf"):
             if urdf.resolve() not in described:
-                source_records.append(BundleRecord(
-                    id=str(urdf.relative_to(source_dir)),
-                    robot_name="",
-                    robot_type="",
-                    manufacturer="",
-                    source_name=source_name,
-                    source_url=source_url,
-                    urdf_path=Path(urdf.name),
-                    xacro_generated_by_dataset=False,
-                    root_dir=urdf.parent,
-                    notices=("no meta-information.json describes this file",),
-                ))
+                source_records.append(_record(source, urdf.parent, Path(urdf.name), {},
+                                              str(urdf.relative_to(source_dir)),
+                                              "no meta-information.json describes this file"))
 
         ids = [r.id for r in source_records if r.id]
         dup_ids = {i for i in ids if ids.count(i) > 1}
@@ -227,17 +227,6 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
         source_records.sort(key=lambda r: (r.id, str(r.urdf_path)))
         records.extend(source_records)
     return records
-
-
-def _orphan_placeholder(bundle_dir: Path, source_dir: Path, source_name: str,
-                        reason: str) -> BundleRecord:
-    return BundleRecord(
-        id=str(bundle_dir.relative_to(source_dir)),
-        robot_name="", robot_type="", manufacturer="",
-        source_name=source_name, source_url="",
-        urdf_path=Path(), xacro_generated_by_dataset=False,
-        root_dir=bundle_dir, notices=(reason,),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -288,7 +277,7 @@ def detect_xacro_generated(urdf_text: str) -> bool:
     ("autogenerated by xacro ..."); hand-written files carry no such
     header.  Element attributes like xmlns:xacro do not count.
     """
-    head = "\n".join(urdf_text.splitlines()[:10])
+    head = "\n".join(_LINE_BREAK.split(urdf_text, 10)[:10])
     return any("xacro" in m.group(1).lower() for m in _COMMENT.finditer(head))
 
 

@@ -133,9 +133,8 @@ def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnost
 
 
 def _load_corpus(root: Path) -> _Corpus:
-    records = bundles.scan_corpus(root)
-    corpus = _Corpus(root=root if not (root / "urdf_files").is_dir() else root / "urdf_files")
-    for record in records:
+    corpus = _Corpus(root=bundles._corpus_root(root))
+    for record in bundles.scan_corpus(root):
         raw, model, diags = None, None, []
         urdf = record.urdf_file
         if record.urdf_path != Path() and urdf.exists():

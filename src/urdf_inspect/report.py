@@ -180,14 +180,19 @@ def model_stats_table(stats: dict[str, tuple[int, int]]) -> ReportTable:
     return ReportTable("model_stats", ("robot_type", "avg_links", "avg_joints"), rows)
 
 
+def _member(root: Path, member: Path) -> tuple[str, str, str]:
+    """A dedup member's path below ``root``, its source (the first path
+    part; empty for a file directly in ``root``) and its lower-case extension."""
+    rel = member.relative_to(root)
+    return rel.as_posix(), rel.parts[0] if len(rel.parts) > 1 else "", rel.suffix.lstrip(".").lower()
+
+
 def duplicates_table(root: Path, groups: list[DuplicateGroup]) -> ReportTable:
     rows = []
     for group_id, group in enumerate(groups):
         for member in group.members:
-            rel = member.relative_to(root)
-            source = rel.parts[0] if len(rel.parts) > 1 else ""
-            rows.append((group_id, source, rel.as_posix(),
-                         member.suffix.lstrip(".").lower(), group.size, group.digest))
+            path, source, ext = _member(root, member)
+            rows.append((group_id, source, path, ext, group.size, group.digest))
     return ReportTable("duplicates",
                        ("group_id", "source", "path", "extension", "size", "digest"),
                        tuple(rows))
@@ -199,14 +204,12 @@ def duplicates_cross_source_table(root: Path, groups: list[DuplicateGroup]) -> R
     counts: dict[tuple[str, str], int] = {}
     sources: set[str] = set()
     for group in groups:
-        rels = [m.relative_to(root) for m in group.members]
-        group_sources = {r.parts[0] for r in rels if len(r.parts) > 1}
+        members = [_member(root, m)[1:] for m in group.members]
+        group_sources = {source for source, _ in members if source}
         sources |= group_sources
         if len(group_sources) < 2:
             continue
-        for rel in rels:
-            source = rel.parts[0] if len(rel.parts) > 1 else ""
-            ext = rel.suffix.lstrip(".").lower()
+        for source, ext in members:
             if ext not in extensions:
                 ext = "other"
             counts[(source, ext)] = counts.get((source, ext), 0) + 1

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,6 +97,36 @@ class TestScanCorpus:
         assert [(r.source_name, r.source_url) for r in scan_corpus(root)] == [
             ("odd", "https://odd"), ("plain", "https://example.org/plain")]
 
+    @given(st.dictionaries(
+        st.sampled_from(["name", "type", "manufacturer", "id", "urdf-location", "url"]),
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.just("")
+        | st.text(st.characters(codec="utf-8"), max_size=8) | st.lists(st.integers(), max_size=2)
+        | st.dictionaries(st.just("k"), st.integers())))
+    def test_only_non_empty_string_meta_values_count(self, tmp_path_factory, meta):
+        root = tmp_path_factory.mktemp("corpus")
+        bundle = write_source(root, "solo") / "b"
+        bundle.mkdir()
+        (bundle / "meta-information.json").write_text(json.dumps(meta))
+        [record] = scan_corpus(root)
+
+        def want(key, fallback):
+            value = meta.get(key)
+            return value if isinstance(value, str) and value else fallback
+
+        assert (record.robot_name, record.robot_type, record.manufacturer, record.id,
+                record.urdf_path, record.source_url) == (
+            want("name", ""), want("type", ""), want("manufacturer", ""), want("id", ""),
+            Path(want("urdf-location", "")), want("url", "https://example.org/solo"))
+
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", "null", "5", "{"])
+    def test_meta_without_object_is_one_placeholder(self, tmp_path, text):
+        bundle = write_source(tmp_path / "corpus", "solo") / "b"
+        bundle.mkdir()
+        (bundle / "meta-information.json").write_text(text)
+        [record] = scan_corpus(tmp_path / "corpus")
+        assert (record.id, record.source_url, record.notices) == (
+            "b", "https://example.org/solo", ("unreadable meta-information.json",))
+
     def test_rescan_is_idempotent(self, small_corpus):
         assert scan_corpus(small_corpus) == scan_corpus(small_corpus)
 
@@ -181,6 +212,10 @@ class TestXacroDetection:
     def test_banner_past_ten_lines_ignored(self):
         text = "\n" * 11 + "<!-- autogenerated by xacro -->"
         assert not detect_xacro_generated(text)
+
+    def test_form_feed_does_not_end_a_line(self):
+        text = '<?xml version="1.0"?>\n' + "a\fb\fc\n" * 3 + "<!-- autogenerated by xacro -->"
+        assert detect_xacro_generated(text)
 
     def test_case_insensitive(self):
         assert detect_xacro_generated("<!-- Produced by XACRO 1.13 -->\n<robot/>")

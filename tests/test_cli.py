@@ -175,6 +175,20 @@ class TestScanCommand:
             ["***", "", "arm", "s1;s2", "false", "false", "false", "false", "false",
              "false", "false"]]
 
+    def test_null_names_are_no_robot(self, tmp_path):
+        root = tmp_path / "corpus"
+        meta = {"name": None, "manufacturer": None, "type": "arm",
+                "urdf-location": "r.urdf", "id": "1"}
+        for source in ("a", "b"):
+            (root / source / "b").mkdir(parents=True)
+            (root / source / "b" / "r.urdf").write_text(simple_urdf("r"))
+            (root / source / "b" / "meta-information.json").write_text(json.dumps(meta))
+        out = tmp_path / "reports"
+        assert run_cli(["--out", str(out), "compare", str(root)]) == 0
+        assert len(read_csv(out / "discrepancies.csv")) == 1  # the header only
+        assert run_cli(["--out", str(out), "scan", str(root)]) == 0
+        assert sum(map(int, read_csv(out / "structures.csv")[-1][1:])) == 2
+
     @pytest.mark.parametrize("accident", ["missing", "unreadable"])
     def test_unread_member_does_not_differ(self, tmp_path, monkeypatch, accident):
         root = tmp_path / "corpus"
