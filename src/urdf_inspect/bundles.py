@@ -12,9 +12,11 @@ import fnmatch
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 from .model import _LINE_BREAK, Mesh, RobotModel
 
@@ -101,7 +103,8 @@ class ContactMarkers:
 # Corpus scanning.
 # --------------------------------------------------------------------------
 
-# meta-information.json key synonyms, most canonical first
+# Metadata key synonyms, most canonical first; source-information.json's
+# URL is read with the same "url" aliases.
 _META_ALIASES = {
     "name": ("name", "robot-name", "robot_name"),
     "type": ("type", "robot-type", "robot_type", "category"),
@@ -120,6 +123,16 @@ def _meta_get(data: dict, key: str, default=""):
     return default
 
 
+def _meta_text(data: dict, key: str, default: str) -> str:
+    """The value of the first alias of ``key`` that holds a non-empty string,
+    else ``default``."""
+    for alias in _META_ALIASES[key]:
+        value = data.get(alias)
+        if isinstance(value, str) and value:
+            return value
+    return default
+
+
 def _load_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8", errors="replace"))
@@ -132,11 +145,16 @@ def _text(value, default: str) -> str:
     return value if isinstance(value, str) and value else default
 
 
+def _warn_unlistable(exc: OSError) -> None:
+    print(f"warning: cannot list {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+
+
 def _walk(base: Path, pattern: str = "*") -> list[Path]:
     """Files and directories below ``base`` whose name matches ``pattern``, in
-    path order.  Hidden ones (named ``.*``) are left out and never entered."""
+    path order.  Hidden ones (named ``.*``) are left out and never entered; a
+    directory that cannot be listed is named on stderr and contributes nothing."""
     found: list[Path] = []
-    for top, dirs, files in os.walk(base):
+    for top, dirs, files in os.walk(base, onerror=_warn_unlistable):
         dirs[:] = [d for d in dirs if not d.startswith(".")]
         found += [Path(top, name) for name in fnmatch.filter(dirs + files, pattern)
                   if not name.startswith(".")]
@@ -158,12 +176,12 @@ def _record(source: tuple[str, str], bundle_dir: Path, urdf_path: Path, entry: d
     ``entry`` its meta entry, ``{}`` when none describes it."""
     source_name, source_url = source
     return BundleRecord(
-        id=_text(_meta_get(entry, "id"), fallback_id),
-        robot_name=_text(_meta_get(entry, "name"), ""),
-        robot_type=_text(_meta_get(entry, "type"), ""),
-        manufacturer=_text(_meta_get(entry, "manufacturer"), ""),
+        id=_meta_text(entry, "id", fallback_id),
+        robot_name=_meta_text(entry, "name", ""),
+        robot_type=_meta_text(entry, "type", ""),
+        manufacturer=_meta_text(entry, "manufacturer", ""),
         source_name=source_name,
-        source_url=_text(_meta_get(entry, "url"), source_url),
+        source_url=_meta_text(entry, "url", source_url),
         urdf_path=urdf_path,
         xacro_generated_by_dataset=bool(_meta_get(entry, "xacro", False)),
         root_dir=bundle_dir,
@@ -186,8 +204,7 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
     for source_dir in sorted(p for p in root.iterdir() if not p.name.startswith(".") and p.is_dir()):
         info = _load_json(source_dir / "source-information.json")
         info = info if isinstance(info, dict) else {}
-        source = (_text(info.get("name"), source_dir.name),
-                  _text(info.get("url"), "") or _text(_meta_get(info, "url"), ""))
+        source = (_text(info.get("name"), source_dir.name), _meta_text(info, "url", ""))
 
         described: set[Path] = set()
         source_records: list[BundleRecord] = []
@@ -200,7 +217,7 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
                                               str(bundle_dir.relative_to(source_dir)),
                                               "unreadable meta-information.json"))
             for entry in entries:
-                rel = _text(_meta_get(entry, "urdf"), "")
+                rel = _meta_text(entry, "urdf", "")
                 notices = []
                 if not rel:
                     notices.append("metadata gives no URDF location")
@@ -368,7 +385,11 @@ def contact_markers(urdf_text: str) -> ContactMarkers:
                           dot_com=".com" in lower)
 
 
-def name_substring_stats(model: RobotModel, terms: list[str]) -> dict[str, int]:
+# The name terms of the name_stats table: a fixed root or tool frame.
+NAME_TERMS = ("world", "flange")
+
+
+def name_substring_stats(model: RobotModel, terms: Sequence[str]) -> dict[str, int]:
     """Count joints plus links whose name contains each term."""
     names = [n.lower() for n in model.link_names() + model.joint_names()]
     return {term: sum(term.lower() in name for name in names) for term in terms}

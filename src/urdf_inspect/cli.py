@@ -213,7 +213,7 @@ def _stats_tables(corpus: _Corpus) -> list[report.ReportTable]:
         report.contact_table([bundles.contact_markers(e.text)
                               for e in corpus.entries if e.text is not None]),
         report.name_stats_table([(e.record.source_name,
-                                  bundles.name_substring_stats(e.model, ["world", "flange"]))
+                                  bundles.name_substring_stats(e.model, bundles.NAME_TERMS))
                                  for e in parsed]),
         report.model_stats_table(bundles.model_stats([(e.record, e.model) for e in parsed])),
     ]

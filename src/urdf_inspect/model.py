@@ -295,6 +295,17 @@ def _read_document(text: str) -> _XmlElement:
 # and produces no notice, unlike genuinely unknown vendor elements.
 _UNMODELED = {"gazebo", "transmission", "ros2_control", "dynamics", "calibration",
               "mimic", "safety_controller", "sensor"}
+_JOINT_CHILDREN = {"parent", "child", "origin", "axis", "limit"} | _UNMODELED
+
+# Primitive shapes: the class and its required attributes with their arities,
+# in constructor order.  Every value should be positive.
+_SHAPES = {
+    "box": (Box, {"size": 3}),
+    "cylinder": (Cylinder, {"radius": 1, "length": 1}),
+    "sphere": (Sphere, {"radius": 1}),
+}
+_INERTIA = dict.fromkeys(("ixx", "ixy", "ixz", "iyy", "iyz", "izz"), 1)
+_LIMIT_BOUNDS = ("lower", "upper", "effort", "velocity")
 
 
 class _Parser:
@@ -305,37 +316,39 @@ class _Parser:
     def notice(self, element: _XmlElement, message: str) -> None:
         self.notices.append(ParseNotice(element.tag, message, element.line, element.column))
 
-    def floats(self, element: _XmlElement, attr: str, count: int) -> tuple[float, ...]:
-        """Parse a whitespace-separated float list; wrong arity is fatal."""
-        raw = element.attrib[attr]
+    def floats(self, element: _XmlElement | None, attr: str, count: int,
+               default: tuple[float, ...] | None = None) -> float | tuple[float, ...] | None:
+        """Parse a whitespace-separated list of ``count`` floats, one float
+        when ``count`` is 1; ``default`` when the element or the attribute is
+        absent.  A wrong arity or a non-number is fatal."""
+        raw = None if element is None else element.attrib.get(attr)
+        if raw is None:
+            return default
         parts = raw.split()
         if len(parts) != count:
-            raise ParseFailure(
-                f"attribute '{attr}' of <{element.tag}> must hold {count} numbers, got {len(parts)}",
-                element.line,
-                element.column,
-            )
+            raise ParseFailure(f"attribute '{attr}' of <{element.tag}> must hold {count} "
+                               f"numbers, got {len(parts)}", element.line, element.column)
         try:
-            values = tuple(float(part) for part in parts)
+            values = tuple(map(float, parts))
         except ValueError:
-            raise ParseFailure(
-                f"attribute '{attr}' of <{element.tag}> is not numeric: {raw!r}",
-                element.line,
-                element.column,
-            ) from None
-        if not all(math.isfinite(v) for v in values):
+            raise ParseFailure(f"attribute '{attr}' of <{element.tag}> is not numeric: {raw!r}",
+                               element.line, element.column) from None
+        if not all(map(math.isfinite, values)):
             self.notice(element, f"attribute '{attr}' holds a non-finite value")
-        return values
+        return values[0] if count == 1 else values
 
-    def scalar(self, element: _XmlElement, attr: str) -> float:
-        return self.floats(element, attr, 1)[0]
+    def required(self, element: _XmlElement, arities: dict[str, int]) -> list | None:
+        """The values of every attribute in ``arities``, in order, read with
+        ``floats``.  When any is absent, nothing is read: one notice names
+        the missing ones and the result is None."""
+        missing = [attr for attr in arities if attr not in element.attrib]
+        if missing:
+            self.notice(element, f"<{element.tag}> is missing {', '.join(missing)}; skipped")
+            return None
+        return [self.floats(element, attr, count) for attr, count in arities.items()]
 
     def pose(self, element: _XmlElement | None) -> Pose:
-        if element is None:
-            return Pose()
-        xyz = self.floats(element, "xyz", 3) if "xyz" in element.attrib else ZERO3
-        rpy = self.floats(element, "rpy", 3) if "rpy" in element.attrib else ZERO3
-        return Pose(xyz, rpy)
+        return Pose(self.floats(element, "xyz", 3, ZERO3), self.floats(element, "rpy", 3, ZERO3))
 
     def geometry(self, parent: _XmlElement) -> Geometry | None:
         geom = parent.find("geometry")
@@ -343,52 +356,30 @@ class _Parser:
             self.notice(parent, f"<{parent.tag}> has no <geometry> child; skipped")
             return None
         for shape in geom.children:
-            if shape.tag == "box":
-                if "size" not in shape.attrib:
-                    self.notice(shape, "<box> is missing its size attribute; skipped")
+            if shape.tag in _SHAPES:
+                cls, arities = _SHAPES[shape.tag]
+                values = self.required(shape, arities)
+                if values is None:
                     return None
-                size = self.floats(shape, "size", 3)
-                if min(size) <= 0:
-                    self.notice(shape, "<box> has a non-positive side length")
-                return Box(size)
-            if shape.tag == "cylinder":
-                if "radius" not in shape.attrib or "length" not in shape.attrib:
-                    self.notice(shape, "<cylinder> is missing radius or length; skipped")
-                    return None
-                radius = self.scalar(shape, "radius")
-                length = self.scalar(shape, "length")
-                if radius <= 0 or length <= 0:
-                    self.notice(shape, "<cylinder> has a non-positive dimension")
-                return Cylinder(radius, length)
-            if shape.tag == "sphere":
-                if "radius" not in shape.attrib:
-                    self.notice(shape, "<sphere> is missing its radius attribute; skipped")
-                    return None
-                radius = self.scalar(shape, "radius")
-                if radius <= 0:
-                    self.notice(shape, "<sphere> has a non-positive radius")
-                return Sphere(radius)
+                if any(v <= 0 for value in values
+                       for v in (value if isinstance(value, tuple) else (value,))):
+                    self.notice(shape, f"<{shape.tag}> has a non-positive dimension")
+                return cls(*values)
             if shape.tag == "mesh":
                 uri = shape.attrib.get("filename", "")
                 if not uri:
                     self.notice(shape, "<mesh> has no filename; skipped")
                     return None
-                scale = self.floats(shape, "scale", 3) if "scale" in shape.attrib else (1.0, 1.0, 1.0)
-                return Mesh(uri, scale)
+                return Mesh(uri, self.floats(shape, "scale", 3, (1.0, 1.0, 1.0)))
             self.notice(shape, f"unknown geometry shape <{shape.tag}>")
         self.notice(geom, "<geometry> holds no recognized shape; skipped")
         return None
 
     def material(self, element: _XmlElement) -> Material:
         name = element.attrib.get("name", "")
-        rgba = None
-        texture = None
-        color = element.find("color")
-        if color is not None and "rgba" in color.attrib:
-            rgba = self.floats(color, "rgba", 4)
+        rgba = self.floats(element.find("color"), "rgba", 4)
         tex = element.find("texture")
-        if tex is not None:
-            texture = tex.attrib.get("filename")
+        texture = tex.attrib.get("filename") if tex is not None else None
         material = Material(name, rgba, texture)
         if name and material.defines_appearance:
             self.materials.append(material)
@@ -403,13 +394,10 @@ class _Parser:
         if inertia_el is None:
             self.notice(element, "<inertial> lacks an <inertia> element; skipped")
             return None
-        moments = []
-        for attr in ("ixx", "ixy", "ixz", "iyy", "iyz", "izz"):
-            if attr not in inertia_el.attrib:
-                self.notice(inertia_el, f"<inertia> is missing '{attr}'; skipped")
-                return None
-            moments.append(self.scalar(inertia_el, attr))
-        mass = self.scalar(mass_el, "value")
+        moments = self.required(inertia_el, _INERTIA)
+        if moments is None:
+            return None
+        mass = self.floats(mass_el, "value", 1)
         if mass < 0:
             self.notice(mass_el, "negative mass")
         return Inertial(self.pose(element.find("origin")), mass, tuple(moments))
@@ -451,9 +439,7 @@ class _Parser:
     def joint_limit(self, element: _XmlElement | None) -> JointLimit | None:
         if element is None:
             return None
-        values = {}
-        for attr in ("lower", "upper", "effort", "velocity"):
-            values[attr] = self.scalar(element, attr) if attr in element.attrib else None
+        values = {attr: self.floats(element, attr, 1) for attr in _LIMIT_BOUNDS}
         if (values["lower"] is not None and values["upper"] is not None
                 and values["lower"] > values["upper"]):
             self.notice(element, "limit lower bound exceeds upper bound")
@@ -467,19 +453,12 @@ class _Parser:
         except ValueError:
             kind = None
             self.notice(element, f"joint '{name}' has unrecognized type {type_name!r}")
-        parent = child_link = ""
-        parent_el = element.find("parent")
-        if parent_el is not None:
-            parent = parent_el.attrib.get("link", "")
-        child_el = element.find("child")
-        if child_el is not None:
-            child_link = child_el.attrib.get("link", "")
-        axis_el = element.find("axis")
-        axis = DEFAULT_AXIS
-        if axis_el is not None and "xyz" in axis_el.attrib:
-            axis = self.floats(axis_el, "xyz", 3)
+        parent_el, child_el = element.find("parent"), element.find("child")
+        parent = parent_el.attrib.get("link", "") if parent_el is not None else ""
+        child_link = child_el.attrib.get("link", "") if child_el is not None else ""
+        axis = self.floats(element.find("axis"), "xyz", 3, DEFAULT_AXIS)
         for sub in element.children:
-            if sub.tag not in {"parent", "child", "origin", "axis", "limit"} | _UNMODELED:
+            if sub.tag not in _JOINT_CHILDREN:
                 self.notice(sub, f"unknown element <{sub.tag}> in <joint>")
         return Joint(
             name=name,

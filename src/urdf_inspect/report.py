@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
-from .bundles import ContactMarkers, LicenseId, MeshInventory, StructureClass
+from .bundles import NAME_TERMS, ContactMarkers, LicenseId, MeshInventory, StructureClass
 from .compare import DiscrepancyReport
 from .dedup import DuplicateGroup
 from .validator import Diagnostic
@@ -167,9 +167,8 @@ def contact_table(markers: list[ContactMarkers]) -> ReportTable:
     return ReportTable("contact", ("marker", "files"), rows)
 
 
-def name_stats_table(rows: list[tuple[str, dict[str, int]]],
-                     terms: tuple[str, ...] = ("world", "flange")) -> ReportTable:
-    return _per_source_table("name_stats", terms, rows)
+def name_stats_table(rows: list[tuple[str, dict[str, int]]]) -> ReportTable:
+    return _per_source_table("name_stats", NAME_TERMS, rows)
 
 
 def model_stats_table(stats: dict[str, tuple[int, int]]) -> ReportTable:

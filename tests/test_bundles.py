@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from urdf_inspect.bundles import (
     LicenseId,
@@ -97,6 +97,7 @@ class TestScanCorpus:
         assert [(r.source_name, r.source_url) for r in scan_corpus(root)] == [
             ("odd", "https://odd"), ("plain", "https://example.org/plain")]
 
+    @settings(suppress_health_check=[HealthCheck.too_slow])  # the first text draw is slow
     @given(st.dictionaries(
         st.sampled_from(["name", "type", "manufacturer", "id", "urdf-location", "url"]),
         st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.just("")
@@ -117,6 +118,23 @@ class TestScanCorpus:
                 record.urdf_path, record.source_url) == (
             want("name", ""), want("type", ""), want("manufacturer", ""), want("id", ""),
             Path(want("urdf-location", "")), want("url", "https://example.org/solo"))
+
+    def test_first_alias_holding_text_wins(self, tmp_path):
+        bundle = write_source(tmp_path / "corpus", "solo") / "b"
+        bundle.mkdir()
+        (bundle / "meta-information.json").write_text(
+            json.dumps({"name": None, "robot_name": "bot", "type": "", "category": "arm"}))
+        [record] = scan_corpus(tmp_path / "corpus")
+        assert (record.robot_name, record.robot_type) == ("bot", "arm")
+
+    def test_source_url_aliases_in_meta_order(self, tmp_path):
+        source = tmp_path / "corpus" / "solo"
+        (source / "b").mkdir(parents=True)
+        (source / "source-information.json").write_text(
+            json.dumps({"url": "https://example.org/plain", "source-url": "https://example.org/src"}))
+        (source / "b" / "meta-information.json").write_text(json.dumps({"name": "bot"}))
+        [record] = scan_corpus(tmp_path / "corpus")
+        assert record.source_url == "https://example.org/src"
 
     @pytest.mark.parametrize("text", ["[]", "[1, 2]", "null", "5", "{"])
     def test_meta_without_object_is_one_placeholder(self, tmp_path, text):

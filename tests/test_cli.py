@@ -288,6 +288,32 @@ class TestScanCommand:
         assert below
         assert [parts for parts in below if any(part.startswith(".") for part in parts)] == []
 
+    def test_unlistable_source_is_named_and_others_unchanged(self, small_corpus, tmp_path,
+                                                             monkeypatch, capsys):
+        whole, part = tmp_path / "whole", tmp_path / "part"
+        assert run_cli(["--out", str(whole), "scan", str(small_corpus)]) == 0
+        capsys.readouterr()
+        beta = small_corpus / "beta"
+        scandir = os.scandir
+
+        def failing(path="."):
+            if Path(path) == beta:
+                raise PermissionError(13, "Permission denied", str(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", failing)
+        assert run_cli(["--out", str(part), "scan", str(small_corpus)]) == 0
+        assert f"warning: cannot list {beta}: Permission denied" in capsys.readouterr().err
+
+        def alpha_rows(table):
+            return [row for row in read_csv(table) if row and row[0].split("/")[0] == "alpha"]
+
+        tables = sorted(whole.glob("*.csv"))
+        assert [t.name for t in tables] == sorted(t.name for t in part.glob("*.csv"))
+        assert sum(len(alpha_rows(t)) for t in tables) > 0
+        for table in tables:
+            assert alpha_rows(part / table.name) == alpha_rows(table), table.name
+
     def test_two_runs_byte_identical(self, small_corpus, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         run_cli(["--out", str(out1), "scan", str(small_corpus)])

@@ -7,7 +7,9 @@ from urdf_inspect.model import (
     Box,
     Cylinder,
     JointKind,
+    JointLimit,
     Mesh,
+    Sphere,
     ParseFailure,
     line_count,
     parse_urdf,
@@ -208,6 +210,140 @@ def test_visual_without_geometry_skipped_with_notice():
                        '<origin xyz="0 0 1"/></visual></link></robot>')
     assert model.links[0].visuals == ()
     assert len(model.notices) == 1
+
+
+# Every numeric attribute the parser reads, one element a line.  A
+# placeholder is the attribute's key in NUMERIC: (attribute, arity, value).
+NUMERIC_DOC = """<robot name="r">
+<material name="paint">
+<color {rgba}/>
+</material>
+<link name="a">
+<inertial>
+<mass {mass}/>
+<inertia {ixx} {ixy} {ixz} {iyy} {iyz} {izz}/>
+</inertial>
+<visual><geometry>
+<box {size}/>
+</geometry></visual>
+<visual><geometry>
+<cylinder {cylinder_radius} {length}/>
+</geometry></visual>
+<visual><geometry>
+<sphere {sphere_radius}/>
+</geometry></visual>
+<collision><geometry>
+<mesh filename="m.stl" {scale}/>
+</geometry></collision>
+</link>
+<link name="b"/>
+<joint name="j" type="revolute">
+<parent link="a"/><child link="b"/>
+<origin {xyz} {rpy}/>
+<axis {axis}/>
+<limit {lower} {upper} {effort} {velocity}/>
+</joint>
+</robot>"""
+
+NUMERIC = {
+    "rgba": ("rgba", 4, "1 0 0 1"), "mass": ("value", 1, "2"),
+    **{m: (m, 1, "1") for m in ("ixx", "ixy", "ixz", "iyy", "iyz", "izz")},
+    "size": ("size", 3, "1 1 1"), "cylinder_radius": ("radius", 1, "0.1"),
+    "length": ("length", 1, "0.2"), "sphere_radius": ("radius", 1, "0.3"),
+    "scale": ("scale", 3, "1 2 3"), "xyz": ("xyz", 3, "0 0 1"), "rpy": ("rpy", 3, "0 1 0"),
+    "axis": ("xyz", 3, "0 0 1"), "lower": ("lower", 1, "-1"), "upper": ("upper", 1, "1"),
+    "effort": ("effort", 1, "10"), "velocity": ("velocity", 1, "2"),
+}
+
+
+def numeric_doc(key: str = "", raw: str | None = None) -> str:
+    """NUMERIC_DOC with ``key``'s attribute set to ``raw``, or absent when None."""
+    attrs = {k: f'{attr}="{value}"' for k, (attr, _, value) in NUMERIC.items()}
+    if key:
+        attrs[key] = "" if raw is None else f'{NUMERIC[key][0]}="{raw}"'
+    return NUMERIC_DOC.format(**attrs)
+
+
+def shapes(model):
+    return [type(v.geometry) for v in model.links[0].visuals]
+
+
+# What an absent attribute gives: its default, or its element skipped.
+ABSENT = {
+    "rgba": lambda m: m.materials == (),
+    "scale": lambda m: m.links[0].collisions[0].geometry.scale == (1.0, 1.0, 1.0),
+    "xyz": lambda m: m.joints[0].origin.xyz == (0.0, 0.0, 0.0),
+    "rpy": lambda m: m.joints[0].origin.rpy == (0.0, 0.0, 0.0),
+    "axis": lambda m: m.joints[0].axis == (1.0, 0.0, 0.0),
+    **{b: (lambda m, b=b: getattr(m.joints[0].limit, b) is None)
+       for b in ("lower", "upper", "effort", "velocity")},
+}
+SKIPPED = {
+    "size": lambda m: shapes(m) == [Cylinder, Sphere],
+    "cylinder_radius": lambda m: shapes(m) == [Box, Sphere],
+    "length": lambda m: shapes(m) == [Box, Sphere],
+    "sphere_radius": lambda m: shapes(m) == [Box, Cylinder],
+    **{k: (lambda m: m.links[0].inertial is None)
+       for k in ("mass", "ixx", "ixy", "ixz", "iyy", "iyz", "izz")},
+}
+
+
+def test_numeric_doc_parses_cleanly():
+    model = parse_urdf(numeric_doc())
+    assert model.notices == ()
+    assert shapes(model) == [Box, Cylinder, Sphere]
+    assert model.links[0].inertial.inertia == (1.0,) * 6
+    assert model.joints[0].limit == JointLimit(-1.0, 1.0, 10.0, 2.0)
+
+
+@pytest.mark.parametrize("key", NUMERIC)
+class TestNumericAttribute:
+    def line(self, key):
+        return next(i for i, text in enumerate(NUMERIC_DOC.splitlines(), 1)
+                    if "{" + key + "}" in text)
+
+    def test_absent_gives_default_or_skip(self, key):
+        model = parse_urdf(numeric_doc(key, None))
+        if key in ABSENT:
+            assert ABSENT[key](model)
+            assert model.notices == ()
+        else:
+            assert SKIPPED[key](model)
+            assert [n.message for n in model.notices if "skipped" in n.message]
+
+    @pytest.mark.parametrize("arity", ["short", "long"])
+    def test_wrong_arity_fails_at_element(self, key, arity):
+        _, count, _ = NUMERIC[key]
+        raw = " ".join(["1"] * (count - 1 if arity == "short" else count + 1))
+        with pytest.raises(ParseFailure) as info:
+            parse_urdf(numeric_doc(key, raw))
+        assert f"must hold {count} numbers" in info.value.message
+        assert info.value.line == self.line(key)
+
+    def test_non_number_fails_at_element(self, key):
+        _, count, _ = NUMERIC[key]
+        with pytest.raises(ParseFailure) as info:
+            parse_urdf(numeric_doc(key, " ".join(["x"] * count)))
+        assert "is not numeric" in info.value.message
+        assert info.value.line == self.line(key)
+
+    def test_inf_gives_notice(self, key):
+        attr, count, _ = NUMERIC[key]
+        model = parse_urdf(numeric_doc(key, " ".join(["inf"] * count)))
+        assert [n.line for n in model.notices
+                if n.message == f"attribute '{attr}' holds a non-finite value"] == [self.line(key)]
+
+
+def test_inertia_with_missing_moment_is_skipped_before_any_read():
+    model = parse_urdf(numeric_doc("ixy", None).replace('ixx="1"', 'ixx="oops"'))
+    assert model.links[0].inertial is None
+    assert [n.message for n in model.notices] == ["<inertia> is missing ixy; skipped"]
+
+
+@pytest.mark.parametrize("size", ["-1 1 1", "nan -1 1", "1 0 1"])
+def test_non_positive_box_dimension_noticed(size):
+    model = parse_urdf(numeric_doc("size", size))
+    assert "<box> has a non-positive dimension" in [n.message for n in model.notices]
 
 
 class TestEncoding:
