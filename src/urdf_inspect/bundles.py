@@ -116,19 +116,12 @@ _META_ALIASES = {
 }
 
 
-def _meta_get(data: dict, key: str, default=""):
-    for alias in _META_ALIASES[key]:
-        if alias in data:
-            return data[alias]
-    return default
-
-
-def _meta_text(data: dict, key: str, default: str) -> str:
-    """The value of the first alias of ``key`` that holds a non-empty string,
-    else ``default``."""
+def _meta(data: dict, key: str, default):
+    """The value of the first alias of ``key`` that holds a value of
+    ``default``'s type (a string only when non-empty), else ``default``."""
     for alias in _META_ALIASES[key]:
         value = data.get(alias)
-        if isinstance(value, str) and value:
+        if isinstance(value, type(default)) and value != "":
             return value
     return default
 
@@ -176,14 +169,14 @@ def _record(source: tuple[str, str], bundle_dir: Path, urdf_path: Path, entry: d
     ``entry`` its meta entry, ``{}`` when none describes it."""
     source_name, source_url = source
     return BundleRecord(
-        id=_meta_text(entry, "id", fallback_id),
-        robot_name=_meta_text(entry, "name", ""),
-        robot_type=_meta_text(entry, "type", ""),
-        manufacturer=_meta_text(entry, "manufacturer", ""),
+        id=_meta(entry, "id", fallback_id),
+        robot_name=_meta(entry, "name", ""),
+        robot_type=_meta(entry, "type", ""),
+        manufacturer=_meta(entry, "manufacturer", ""),
         source_name=source_name,
-        source_url=_meta_text(entry, "url", source_url),
+        source_url=_meta(entry, "url", source_url),
         urdf_path=urdf_path,
-        xacro_generated_by_dataset=bool(_meta_get(entry, "xacro", False)),
+        xacro_generated_by_dataset=_meta(entry, "xacro", False),
         root_dir=bundle_dir,
         notices=notices,
     )
@@ -195,7 +188,8 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
     Missing or broken metadata degrades to records with notices, never
     to failures; only an unreadable root raises.  A metadata text value
     (name, type, manufacturer, id, URDF location, URL) counts only when
-    it is a non-empty string; anything else reads as a missing key.
+    it is a non-empty string, and the xacro flag only when it is a
+    boolean; anything else reads as a missing key, the flag as false.
     Hidden entries (a name starting with a dot) are skipped.  Output is
     ordered by (source, id, urdf path) and stable across runs.
     """
@@ -204,7 +198,7 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
     for source_dir in sorted(p for p in root.iterdir() if not p.name.startswith(".") and p.is_dir()):
         info = _load_json(source_dir / "source-information.json")
         info = info if isinstance(info, dict) else {}
-        source = (_text(info.get("name"), source_dir.name), _meta_text(info, "url", ""))
+        source = (_text(info.get("name"), source_dir.name), _meta(info, "url", ""))
 
         described: set[Path] = set()
         source_records: list[BundleRecord] = []
@@ -217,7 +211,7 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
                                               str(bundle_dir.relative_to(source_dir)),
                                               "unreadable meta-information.json"))
             for entry in entries:
-                rel = _meta_text(entry, "urdf", "")
+                rel = _meta(entry, "urdf", "")
                 notices = []
                 if not rel:
                     notices.append("metadata gives no URDF location")

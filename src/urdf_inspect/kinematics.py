@@ -35,10 +35,12 @@ ROTATIONAL = (JointKind.REVOLUTE, JointKind.CONTINUOUS)
 
 
 class TreeError(Exception):
-    """The joint graph is not a single rooted tree.
+    """The joint graph is not a single rooted tree, or a moving joint has no axis.
 
-    ``reason`` is one of "multiple_roots", "cycle", "disconnected",
-    "zero_axis".
+    ``reason`` is one of "multiple_roots", "cycle", "no_root",
+    "disconnected" (a link unreachable from the root, or a joint naming
+    an undeclared link), "shared" (a link that is the child of several
+    joints), "zero_axis".
     """
 
     def __init__(self, reason: str, message: str):
@@ -131,7 +133,7 @@ def _rpy_matrix(rpy: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _JointGraph:
-    """What build_tree and kinematic_sanity need to know of a joint graph.
+    """What is wrong with a joint graph, for build_tree and kinematic_sanity.
 
     Edges run from a declared parent link; a joint naming an undeclared
     parent only counts toward its child's parent joints.
@@ -139,39 +141,35 @@ class _JointGraph:
 
     children: dict[str, list[tuple[Joint, str]]]
     roots: list[str]  # links that are no joint's child, in document order
-    shared: list[str]  # links that are the child of several joints, in document order
-    reached_again: list[str]  # links the walk from the roots meets a second time, in that order
-    unreachable: list[str]  # links the walk from the roots never meets, sorted
-    cycle: bool  # some links form a directed cycle
+    joints: list[Joint]  # the walk from the roots: depth-first preorder, siblings by joint name
+    problems: list[tuple[str, str, str]]  # (reason, subject, message); none iff a single rooted tree
 
 
 def _joint_graph(model: RobotModel) -> _JointGraph:
     children: dict[str, list[tuple[Joint, str]]] = {link.name: [] for link in model.links}
-    parents: dict[str, int] = {}
+    parents: dict[str, int] = {}  # joints naming each link as their child
+    waiting = dict.fromkeys(children, 0)  # of those, joints between declared links
     for joint in model.joints:
+        parents[joint.child] = parents.get(joint.child, 0) + 1
         if joint.parent in children:
             children[joint.parent].append((joint, joint.child))
-        parents[joint.child] = parents.get(joint.child, 0) + 1
+            if joint.child in waiting:
+                waiting[joint.child] += 1
     roots = [link.name for link in model.links if link.name not in parents]
 
-    reached: set[str] = set()
-    reached_again: list[str] = []
-    stack = list(roots)
+    def by_name(link: str) -> list[Joint]:  # popped first by name, ties in document order
+        return sorted((joint for joint, _ in children.get(link, ())), key=lambda j: j.name)[::-1]
+
+    reached = set(roots)
+    joints: list[Joint] = []
+    stack = [joint for root in roots for joint in by_name(root)]
     while stack:
-        name = stack.pop()
-        if name in reached:
-            reached_again.append(name)
-            continue
-        if name in children:
-            reached.add(name)
-            stack.extend(child for _, child in children[name])
+        joints.append(stack.pop())
+        if joints[-1].child not in reached:
+            reached.add(joints[-1].child)
+            stack += by_name(joints[-1].child)
 
     # Peel links whose parents are all peeled; what is left lies on or below a cycle.
-    waiting = {name: 0 for name in children}
-    for edges in children.values():
-        for _, child in edges:
-            if child in waiting:
-                waiting[child] += 1
     ready = [name for name, count in waiting.items() if not count]
     peeled = 0
     while ready:
@@ -182,53 +180,48 @@ def _joint_graph(model: RobotModel) -> _JointGraph:
                 if not waiting[child]:
                     ready.append(child)
 
-    return _JointGraph(children=children, roots=roots,
-                       shared=[name for name in children if parents.get(name, 0) > 1],
-                       reached_again=reached_again,
-                       unreachable=sorted(name for name in children if name not in reached),
-                       cycle=peeled < len(waiting))
+    robot = model.name or "robot"
+    unreachable = sorted(name for name in children if name not in reached)
+    problems = []
+    if len(roots) > 1:
+        problems.append(("multiple_roots", ", ".join(roots),
+                         f"{len(roots)} root links (no unique base)"))
+    if peeled < len(waiting):
+        problems.append(("cycle", robot, "joint graph contains a cycle"))
+    elif not roots:  # every link is the child of a joint from an undeclared link
+        problems.append(("no_root", robot, "joint graph has no root link"))
+    if roots and unreachable:
+        problems.append(("disconnected", ", ".join(unreachable),
+                         f"{len(unreachable)} links unreachable from root"))
+    problems += [("shared", name, f"link '{name}' is the child of several joints")
+                 for name in children if parents.get(name, 0) > 1]
+    return _JointGraph(children=children, roots=roots, joints=joints, problems=problems)
 
 
 def build_tree(model: RobotModel) -> KinematicTree:
     """Assemble the rooted tree; expects a model that passed validation.
 
-    The root is the unique link never appearing as a joint child.
-    Rejects multi-root, cyclic and disconnected graphs, and moving
-    joints whose axis is the zero vector.
+    Rejects a joint naming an undeclared link, a moving joint whose axis
+    is the zero vector, and exactly the joint graphs kinematic_sanity
+    warns of, with the reason of the first warning.  The root is the
+    unique link never appearing as a joint child.
     """
     import numpy as np
-    known = {link.name for link in model.links}
+    graph = _joint_graph(model)
     for joint in model.joints:
-        if joint.parent not in known or joint.child not in known:
+        if joint.parent not in graph.children or joint.child not in graph.children:
             raise TreeError("disconnected",
                             f"joint '{joint.name}' references an undeclared link")
         if joint.kind in SCALAR_KINDS and not np.linalg.norm(joint.axis):
             raise TreeError("zero_axis",
                             f"moving joint '{joint.name}' has a zero axis")
-
-    graph = _joint_graph(model)
-    if not graph.roots:
-        raise TreeError("cycle", "every link is some joint's child; the graph has a cycle")
-    if len(graph.roots) > 1:
-        raise TreeError("multiple_roots", f"multiple root links: {', '.join(graph.roots)}")
-    root = graph.roots[0]
-    if graph.reached_again:
-        raise TreeError("cycle", f"link '{graph.reached_again[0]}' is reached more than once")
-    if graph.unreachable:
-        raise TreeError("disconnected",
-                        f"links not reachable from root '{root}': {', '.join(graph.unreachable)}")
-
-    def by_name(link: str) -> list[Joint]:  # popped first by name, ties in document order
-        return sorted((joint for joint, _ in graph.children[link]), key=lambda j: j.name)[::-1]
-
-    joints: list[Joint] = []
-    stack = by_name(root)
-    while stack:
-        joints.append(stack.pop())
-        stack += by_name(joints[-1].child)
-    return KinematicTree(root=root, children={n: tuple(e) for n, e in graph.children.items()},
-                         actuated=tuple(j for j in joints if j.kind in SCALAR_KINDS),
-                         joints=tuple(joints))
+    if graph.problems:
+        reason, _, message = graph.problems[0]
+        raise TreeError(reason, message)
+    return KinematicTree(root=graph.roots[0],
+                         children={n: tuple(e) for n, e in graph.children.items()},
+                         actuated=tuple(j for j in graph.joints if j.kind in SCALAR_KINDS),
+                         joints=tuple(graph.joints))
 
 
 def _frames(tree: KinematicTree, q: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:

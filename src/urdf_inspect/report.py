@@ -12,7 +12,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Hashable, Iterable, Sequence
 
 from .bundles import NAME_TERMS, ContactMarkers, LicenseId, MeshInventory, StructureClass
 from .compare import DiscrepancyReport
@@ -87,11 +87,11 @@ def write_tables(tables: list[ReportTable], format: str, out_dir: Path) -> list[
 # --------------------------------------------------------------------------
 
 
-def _per_source_table(name: str, columns: Sequence[str],
-                       rows: Iterable[tuple[str, dict[str, int]]]) -> ReportTable:
+def _per_source_table(name: str, columns: Sequence[Hashable],
+                       rows: Iterable[tuple[str, dict[Hashable, int]]]) -> ReportTable:
     """Per-source sums of the named counts, one row per source in sorted
     order, then a total row."""
-    per_source: dict[str, dict[str, int]] = {}
+    per_source: dict[str, dict[Hashable, int]] = {}
     for source, counts in rows:
         bucket = per_source.setdefault(source, dict.fromkeys(columns, 0))
         for column in columns:
@@ -132,25 +132,17 @@ def parsing_errors_table(rows: list[tuple[str, Diagnostic]]) -> ReportTable:
 def mesh_types_table(rows: list[tuple[str, MeshInventory]]) -> ReportTable:
     """Bundles per (source, usage, extension class); 'any' counts bundles
     with at least one mesh of that usage."""
-    extensions = ("stl", "dae", "obj", "other", "any")
-    counts: dict[tuple[str, str, str], int] = {}
-    for source, inventory in rows:
-        for usage, mapping in (("visual", inventory.visual), ("collision", inventory.collision)):
-            for ext in mapping:
-                counts[(source, usage, ext)] = counts.get((source, usage, ext), 0) + 1
-            if mapping:
-                counts[(source, usage, "any")] = counts.get((source, usage, "any"), 0) + 1
-    sources = sorted({s for s, _, _ in counts} | {s for s, _ in rows})
-    out = []
-    for usage in ("visual", "collision"):
-        for ext in extensions:
-            total = 0
-            for source in sources:
-                n = counts.get((source, usage, ext), 0)
-                total += n
-                out.append((source, usage, ext, n))
-            out.append(("total", usage, ext, total))
-    return ReportTable("mesh_types", ("source", "usage", "extension", "bundles"), tuple(out))
+    def present(inventory: MeshInventory) -> dict[tuple[str, str], int]:
+        usages = (("visual", inventory.visual), ("collision", inventory.collision))
+        return {(usage, ext): 1 for usage, mapping in usages if mapping for ext in (*mapping, "any")}
+
+    keys = [(usage, ext) for usage in ("visual", "collision")
+            for ext in ("stl", "dae", "obj", "other", "any")]
+    wide = _per_source_table("mesh_types", keys,
+                             ((source, present(inventory)) for source, inventory in rows))
+    return ReportTable("mesh_types", ("source", "usage", "extension", "bundles"),
+                       tuple((row[0], usage, ext, row[1 + i])
+                             for i, (usage, ext) in enumerate(keys) for row in wide.rows))
 
 
 def licenses_table(rows: list[tuple[str, LicenseId]]) -> ReportTable:

@@ -127,25 +127,9 @@ def kinematic_sanity(model: RobotModel) -> list[Diagnostic]:
 
     Expects a model that passed validate.  Reports multiple roots,
     cycles, no root without a cycle, links unreachable from the root and
-    links that are the child of several joints.
+    links that are the child of several joints: what build_tree rejects.
     """
     if not model.links:
         return []
-    graph = _joint_graph(model)
-    diags: list[Diagnostic] = []
-    if len(graph.roots) > 1:
-        diags.append(Diagnostic(WARNING, "W_OTHER", ", ".join(graph.roots),
-                                f"{len(graph.roots)} root links (no unique base)"))
-    if graph.cycle:
-        diags.append(Diagnostic(WARNING, "W_OTHER", model.name or "robot",
-                                "joint graph contains a cycle"))
-    elif not graph.roots:  # every link is the child of a joint from an undeclared link
-        diags.append(Diagnostic(WARNING, "W_OTHER", model.name or "robot",
-                                "joint graph has no root link"))
-    if graph.roots and graph.unreachable:
-        diags.append(Diagnostic(WARNING, "W_OTHER", ", ".join(graph.unreachable),
-                                f"{len(graph.unreachable)} links unreachable from root"))
-    for name in graph.shared:
-        diags.append(Diagnostic(WARNING, "W_OTHER", name,
-                                f"link '{name}' is the child of several joints"))
-    return diags
+    return [Diagnostic(WARNING, "W_OTHER", subject, message)
+            for _, subject, message in _joint_graph(model).problems]

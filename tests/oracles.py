@@ -3,8 +3,9 @@
 These deliberately take different routes: forward kinematics goes
 through scipy rotations and 4x4 homogeneous matrices, duplicate
 grouping is a pairwise O(n^2) comparison with its own byte-level
-normalizer, line counting is a split-free scanner, and discrepancy
-flags compare every cross-source pair of members.
+normalizer, line counting is a split-free scanner, discrepancy flags
+compare every cross-source pair of members, and the joint-graph verdict
+asks of every link what it reaches.
 """
 
 from __future__ import annotations
@@ -188,3 +189,50 @@ def oracle_discrepancy_flags(bundles, fk_samples: int = 16, fk_seed: int = 0,
                 verdicts.append(None)
     fk = True if True in verdicts else None if None in verdicts else False
     return flags["joints"], flags["links"], flags["cad"], fk, flags["lines"]
+
+
+# --------------------------------------------------------------------------
+# Joint-graph verdict.
+# --------------------------------------------------------------------------
+
+
+def oracle_graph_problems(model) -> list[tuple[str, str, str]]:
+    """(reason, subject, message) of each way a joint graph is not one
+    rooted tree, in kinematic_sanity's order and words.
+
+    Brute force: a link reaches what a path of one or more joints leads
+    to, where a joint counts as an edge only when it names two declared
+    links; a cycle is a link that reaches itself.  A joint from an
+    undeclared link still makes its child no root, and counts toward a
+    child of several joints.
+    """
+    links = [link.name for link in model.links]
+    declared = dict.fromkeys(links)  # document order, each name once
+    edges = {(j.parent, j.child) for j in model.joints if j.parent in declared and j.child in declared}
+
+    def reach(start: str) -> set[str]:
+        seen: set[str] = set()
+        frontier = {start}
+        while frontier:
+            frontier = {child for parent, child in edges if parent in frontier} - seen
+            seen |= frontier
+        return seen
+
+    child_of = [j.child for j in model.joints]
+    roots = [name for name in links if name not in child_of]
+    reached = set(roots).union(*(reach(root) for root in roots))
+    unreachable = sorted(name for name in declared if name not in reached)
+    robot = model.name or "robot"
+    problems = []
+    if len(roots) > 1:
+        problems.append(("multiple_roots", ", ".join(roots), f"{len(roots)} root links (no unique base)"))
+    if any(name in reach(name) for name in declared):
+        problems.append(("cycle", robot, "joint graph contains a cycle"))
+    elif not roots:
+        problems.append(("no_root", robot, "joint graph has no root link"))
+    if roots and unreachable:
+        problems.append(("disconnected", ", ".join(unreachable),
+                         f"{len(unreachable)} links unreachable from root"))
+    problems += [("shared", name, f"link '{name}' is the child of several joints")
+                 for name in declared if child_of.count(name) > 1]
+    return problems

@@ -127,6 +127,18 @@ class TestScanCorpus:
         [record] = scan_corpus(tmp_path / "corpus")
         assert (record.robot_name, record.robot_type) == ("bot", "arm")
 
+    @pytest.mark.parametrize("flags, expected", [
+        ({"xacro-generated": "false"}, False),
+        ({"xacro-generated": None, "xacro": True}, True),
+        ({"xacro-generated": False, "xacro": True}, False),
+    ])
+    def test_xacro_flag_is_first_alias_holding_a_boolean(self, tmp_path, flags, expected):
+        bundle = write_source(tmp_path / "corpus", "solo") / "b"
+        bundle.mkdir()
+        (bundle / "meta-information.json").write_text(json.dumps({"name": "bot", **flags}))
+        [record] = scan_corpus(tmp_path / "corpus")
+        assert record.xacro_generated_by_dataset is expected
+
     def test_source_url_aliases_in_meta_order(self, tmp_path):
         source = tmp_path / "corpus" / "solo"
         (source / "b").mkdir(parents=True)

@@ -1,10 +1,11 @@
 from hypothesis import example, given, settings, strategies as st
 
 from urdf_inspect.kinematics import TreeError, build_tree
-from urdf_inspect.model import parse_urdf
+from urdf_inspect.model import Joint, JointKind, Link, RobotModel, parse_urdf
 from urdf_inspect.validator import kinematic_sanity, validate
 
 from conftest import LISTING1
+from oracles import oracle_graph_problems
 
 TWO_LINKS = '<link name="a"/><link name="b"/>'
 
@@ -221,10 +222,33 @@ def test_build_tree_fails_iff_sanity_warns(graph):
     assert model is not None
     try:
         build_tree(model)
-        rejected = False
-    except TreeError:
-        rejected = True
-    assert rejected == bool(kinematic_sanity(model))
+        reason = None
+    except TreeError as error:
+        reason = error.reason
+    assert (reason is not None) == bool(kinematic_sanity(model))
+    problems = oracle_graph_problems(model)
+    assert reason == (problems[0][0] if problems else None)
+
+
+@st.composite
+def raw_joint_graphs(draw):
+    """Models no validation vetted: link names may repeat or be missing,
+    and joints may name undeclared links ("e", "f")."""
+    links = draw(st.lists(st.sampled_from("abcd"), max_size=5))
+    ends = st.sampled_from("abcdef")
+    joints = draw(st.lists(st.tuples(ends, ends), max_size=7))
+    return RobotModel(draw(st.sampled_from(["r", ""])), tuple(Link(name) for name in links),
+                      tuple(Joint(f"j{n}", JointKind.FIXED, "fixed", parent, child)
+                            for n, (parent, child) in enumerate(joints)))
+
+
+@given(raw_joint_graphs())
+@example(RobotModel("r", (), ()))
+@example(RobotModel("", (Link("a"),), (Joint("j", JointKind.FIXED, "fixed", "ghost", "a"),)))
+def test_sanity_matches_brute_force_oracle(model):
+    expected = oracle_graph_problems(model) if model.links else []
+    assert [(d.severity, d.code, d.subject, d.message) for d in kinematic_sanity(model)] == [
+        ("warning", "W_OTHER", subject, message) for _, subject, message in expected]
 
 
 # --------------------------------------------------------------------------
