@@ -142,12 +142,14 @@ def _warn_unlistable(exc: OSError) -> None:
     print(f"warning: cannot list {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
 
 
-def _walk(base: Path, pattern: str = "*") -> list[Path]:
+def _walk(base: Path, pattern: str = "*", errors: list[OSError] | None = None) -> list[Path]:
     """Files and directories below ``base`` whose name matches ``pattern``, in
     path order.  Hidden ones (named ``.*``) are left out and never entered; a
-    directory that cannot be listed is named on stderr and contributes nothing."""
+    directory that cannot be listed contributes nothing, and its error is
+    appended to ``errors``, or named on stderr when ``errors`` is None."""
     found: list[Path] = []
-    for top, dirs, files in os.walk(base, onerror=_warn_unlistable):
+    onerror = _warn_unlistable if errors is None else errors.append
+    for top, dirs, files in os.walk(base, onerror=onerror):
         dirs[:] = [d for d in dirs if not d.startswith(".")]
         found += [Path(top, name) for name in fnmatch.filter(dirs + files, pattern)
                   if not name.startswith(".")]
@@ -182,14 +184,16 @@ def _record(source: tuple[str, str], bundle_dir: Path, urdf_path: Path, entry: d
     )
 
 
-def scan_corpus(root: Path | str) -> list[BundleRecord]:
+def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[BundleRecord]:
     """Walk a corpus tree and return one record per described URDF.
 
     Missing or broken metadata degrades to records with notices, never
-    to failures; only an unreadable root raises.  A metadata text value
-    (name, type, manufacturer, id, URDF location, URL) counts only when
-    it is a non-empty string, and the xacro flag only when it is a
-    boolean; anything else reads as a missing key, the flag as false.
+    to failures; only an unreadable root raises, and a directory below
+    it that cannot be listed is reported as ``_walk`` reports it.  A
+    metadata text value (name, type, manufacturer, id, URDF location,
+    URL) counts only when it is a non-empty string, and the xacro flag
+    only when it is a boolean; anything else reads as a missing key, the
+    flag as false.
     Hidden entries (a name starting with a dot) are skipped.  Output is
     ordered by (source, id, urdf path) and stable across runs.
     """
@@ -202,7 +206,7 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
 
         described: set[Path] = set()
         source_records: list[BundleRecord] = []
-        for meta_path in _walk(source_dir, "meta-information.json"):
+        for meta_path in _walk(source_dir, "meta-information.json", errors):
             bundle_dir = meta_path.parent
             data = _load_json(meta_path)
             entries = [e for e in (data if isinstance(data, list) else [data]) if isinstance(e, dict)]
@@ -221,7 +225,7 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
                     described.add((bundle_dir / rel).resolve())
                 source_records.append(_record(source, bundle_dir, Path(rel), entry, "", *notices))
 
-        for urdf in _walk(source_dir, "*.urdf"):
+        for urdf in _walk(source_dir, "*.urdf", errors):
             if urdf.resolve() not in described:
                 source_records.append(_record(source, urdf.parent, Path(urdf.name), {},
                                               str(urdf.relative_to(source_dir)),
@@ -247,29 +251,31 @@ def scan_corpus(root: Path | str) -> list[BundleRecord]:
 _SUPPORT_NAME = re.compile(r".+_.+_support")
 
 
-def _has_layout(bundle_dir: Path, urdf_folder: str) -> bool:
+def _has_layout(bundle_dir: Path, urdf_folder: str, errors: list[OSError] | None) -> bool:
     folder = bundle_dir / urdf_folder
     if not folder.is_dir() or not (bundle_dir / "meshes").is_dir():
         return False
-    return bool(_walk(folder, "*.urdf"))
+    return bool(_walk(folder, "*.urdf", errors))
 
 
-def classify_structure(bundle_dir: Path | str) -> StructureClass:
+def classify_structure(bundle_dir: Path | str,
+                       errors: list[OSError] | None = None) -> StructureClass:
     """Assign exactly one folder-structure class to a bundle directory.
 
     Checks run in order of specificity D, C, B, A; anything else is
     Other.  A directory whose name suggests one class but whose URDF
     location matches a more specific one takes the more specific class.
+    A directory that cannot be listed is reported as ``_walk`` reports it.
     """
     bundle_dir = Path(bundle_dir)
     name = bundle_dir.name
-    if name.endswith("visualization") and _has_layout(bundle_dir, "urdf"):
+    if name.endswith("visualization") and _has_layout(bundle_dir, "urdf", errors):
         return StructureClass.D
-    if name.endswith("_description") and _has_layout(bundle_dir, "robots"):
+    if name.endswith("_description") and _has_layout(bundle_dir, "robots", errors):
         return StructureClass.C
-    if _SUPPORT_NAME.fullmatch(name) and _has_layout(bundle_dir, "urdf"):
+    if _SUPPORT_NAME.fullmatch(name) and _has_layout(bundle_dir, "urdf", errors):
         return StructureClass.B
-    if name.endswith("_description") and _has_layout(bundle_dir, "urdf"):
+    if name.endswith("_description") and _has_layout(bundle_dir, "urdf", errors):
         return StructureClass.A
     return StructureClass.OTHER
 
@@ -354,12 +360,13 @@ def _fingerprint(text: str) -> LicenseId | None:
     return None
 
 
-def detect_license(bundle_dir: Path | str) -> LicenseId:
+def detect_license(bundle_dir: Path | str, errors: list[OSError] | None = None) -> LicenseId:
     """Fingerprint LICENSE/COPYING-style files under a bundle directory,
-    skipping hidden entries."""
+    skipping hidden entries.  A directory that cannot be listed is
+    reported as ``_walk`` reports it."""
     bundle_dir = Path(bundle_dir)
-    candidates = sorted((p for p in _walk(bundle_dir) if _LICENSE_FILE.match(p.name) and p.is_file()),
-                        key=str)
+    candidates = sorted((p for p in _walk(bundle_dir, "*", errors)
+                         if _LICENSE_FILE.match(p.name) and p.is_file()), key=str)
     for path in candidates:
         try:
             text = path.read_text(encoding="utf-8", errors="replace")
@@ -389,13 +396,17 @@ def name_substring_stats(model: RobotModel, terms: Sequence[str]) -> dict[str, i
     return {term: sum(term.lower() in name for name in names) for term in terms}
 
 
-def model_stats(records: list[tuple[BundleRecord, RobotModel]]) -> dict[str, tuple[int, int]]:
-    """Mean link and joint counts per robot type, rounded half-up."""
+def model_stats(rows: list[tuple[str, int, int]]) -> dict[str, tuple[int, int]]:
+    """Mean link and joint counts per robot type, rounded half-up.
+
+    Row input: (robot type, link count, joint count) of one parsed
+    bundle; a bundle with no robot type counts towards no mean.
+    """
     groups: dict[str, list[tuple[int, int]]] = {}
-    for record, model in records:
-        if not record.robot_type:
+    for robot_type, links, joints in rows:
+        if not robot_type:
             continue
-        groups.setdefault(record.robot_type, []).append((len(model.links), len(model.joints)))
+        groups.setdefault(robot_type, []).append((links, joints))
     out: dict[str, tuple[int, int]] = {}
     for robot_type, counts in groups.items():
         n = len(counts)

@@ -8,6 +8,13 @@ Subcommands:
     dupes <root>          duplicate-file groups
     stats <root>          model/name/contact/license tables
 
+The corpus commands read and parse every bundle's URDF once and keep
+only the facts the tables read of it: its diagnostics, xacro banner,
+contact markers, mesh inventory, name-term counts and link and joint
+counts.  The parsed model and decoded text stay in memory only for the
+members of multiply defined robots, which the discrepancy comparison
+reads again.
+
 Exit codes: 0 success, 1 validation errors found, 2 usage error,
 3 I/O failure.
 """
@@ -16,11 +23,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import bundles, compare, dedup, report
-from .bundles import BundleRecord
+from .bundles import BundleRecord, ContactMarkers, MeshInventory
 from .model import RobotModel
 from .validator import Diagnostic, kinematic_sanity, validate
 
@@ -72,19 +79,22 @@ def run_cli(argv: list[str]) -> int:
             return _cmd_validate(args)
         if args.command == "inspect":
             return _cmd_inspect(args)
+        corpus = _load_corpus(args.root)
         if args.command == "scan":
-            return _emit_and_exit(args, _corpus_tables(args, _load_corpus(args.root)))
-        if args.command == "compare":
-            return _emit_and_exit(args, [_discrepancies(args, _load_corpus(args.root))])
-        if args.command == "dupes":
-            return _emit_and_exit(args, _dupes_tables(_load_corpus(args.root)))
-        if args.command == "stats":
-            # stats lists scan's last four tables in reverse
-            return _emit_and_exit(args, _stats_tables(_load_corpus(args.root))[::-1])
+            tables = _corpus_tables(args, corpus)
+        elif args.command == "compare":
+            tables = [_discrepancies(args, corpus)]
+        elif args.command == "dupes":
+            tables = _dupes_tables(corpus)
+        else:  # stats lists scan's last four tables in reverse
+            tables = _stats_tables(corpus)[::-1]
+        for exc in {e.filename: e for e in corpus.unlistable}.values():  # each directory once
+            bundles._warn_unlistable(exc)
+        _emit_tables(args, tables)
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_USAGE
 
 
 def main() -> None:
@@ -98,10 +108,17 @@ def main() -> None:
 
 @dataclass
 class _Entry:
+    """One bundle, reduced to what the tables read of its URDF."""
+
     record: BundleRecord
-    text: str | None  # None when the URDF file could not be read
-    model: RobotModel | None
     diagnostics: list[Diagnostic]
+    xacro_banner: bool = False
+    contact: ContactMarkers | None = None  # the text facts: None when the URDF was not read
+    meshes: MeshInventory | None = None  # the model facts: None when no model was validated
+    name_terms: dict[str, int] | None = None
+    size: tuple[int, int] | None = None  # (links, joints)
+    text: str | None = None  # kept for members of multiply defined robots only
+    model: RobotModel | None = None  # likewise
 
     @property
     def rel_file(self) -> str:
@@ -111,7 +128,9 @@ class _Entry:
 @dataclass
 class _Corpus:
     root: Path
-    entries: list[_Entry] = field(default_factory=list)
+    groups: dict[compare.RobotKey, list[BundleRecord]]  # the multiply defined robots
+    entries: list[_Entry]
+    unlistable: list[OSError]  # from every walk, repeats included
 
 
 def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnostic]]:
@@ -132,16 +151,35 @@ def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnost
     return raw, result.model, diags
 
 
+def _load_entry(record: BundleRecord, keep: bool) -> _Entry:
+    """Analyze one bundle's URDF and reduce the result to its entry; the
+    model and text stay on it only when ``keep``."""
+    raw, model, diags = None, None, []
+    urdf = record.urdf_file
+    if record.urdf_path != Path() and urdf.exists():
+        raw, model, diags = _analyze(urdf)
+    entry = _Entry(record, diags)
+    if raw is not None:
+        text = raw.decode("utf-8", errors="replace")
+        entry.xacro_banner = bundles.detect_xacro_generated(text)
+        entry.contact = bundles.contact_markers(text)
+        entry.text = text if keep else None
+    if model is not None:
+        entry.meshes = bundles.mesh_inventory(model)
+        entry.name_terms = bundles.name_substring_stats(model, bundles.NAME_TERMS)
+        entry.size = (len(model.links), len(model.joints))
+        entry.model = model if keep else None
+    return entry
+
+
 def _load_corpus(root: Path) -> _Corpus:
-    corpus = _Corpus(root=bundles._corpus_root(root))
-    for record in bundles.scan_corpus(root):
-        raw, model, diags = None, None, []
-        urdf = record.urdf_file
-        if record.urdf_path != Path() and urdf.exists():
-            raw, model, diags = _analyze(urdf)
-        text = None if raw is None else raw.decode("utf-8", errors="replace")
-        corpus.entries.append(_Entry(record, text, model, diags))
-    return corpus
+    corpus_root = bundles._corpus_root(root)
+    unlistable: list[OSError] = []
+    records = bundles.scan_corpus(root, unlistable)
+    groups = compare.find_multiply_defined(records)
+    members = {id(r) for group in groups.values() for r in group}
+    return _Corpus(corpus_root, groups, [_load_entry(r, id(r) in members) for r in records],
+                   unlistable)
 
 
 # --------------------------------------------------------------------------
@@ -185,14 +223,13 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _corpus_tables(args: argparse.Namespace, corpus: _Corpus) -> list[report.ReportTable]:
-    structure_rows = [(e.record.source_name, bundles.classify_structure(e.record.root_dir))
+    structure_rows = [(e.record.source_name,
+                       bundles.classify_structure(e.record.root_dir, corpus.unlistable))
                       for e in corpus.entries]
-    xacro_rows = [(e.record.source_name, e.record.xacro_generated_by_dataset,
-                   bundles.detect_xacro_generated(e.text) if e.text is not None else False)
+    xacro_rows = [(e.record.source_name, e.record.xacro_generated_by_dataset, e.xacro_banner)
                   for e in corpus.entries]
     diag_rows = [(e.rel_file, d) for e in corpus.entries for d in e.diagnostics]
-    mesh_rows = [(e.record.source_name, bundles.mesh_inventory(e.model))
-                 for e in corpus.entries if e.model is not None]
+    mesh_rows = [(e.record.source_name, e.meshes) for e in corpus.entries if e.meshes is not None]
     return [
         report.structures_table(structure_rows),
         report.xacro_table(xacro_rows),
@@ -206,21 +243,20 @@ def _corpus_tables(args: argparse.Namespace, corpus: _Corpus) -> list[report.Rep
 
 def _stats_tables(corpus: _Corpus) -> list[report.ReportTable]:
     """The licenses, contact, name_stats and model_stats tables, in scan's order."""
-    parsed = [e for e in corpus.entries if e.model is not None]
+    parsed = [e for e in corpus.entries if e.size is not None]
     return [
-        report.licenses_table([(e.record.source_name, bundles.detect_license(e.record.root_dir))
+        report.licenses_table([(e.record.source_name,
+                                bundles.detect_license(e.record.root_dir, corpus.unlistable))
                                for e in corpus.entries]),
-        report.contact_table([bundles.contact_markers(e.text)
-                              for e in corpus.entries if e.text is not None]),
-        report.name_stats_table([(e.record.source_name,
-                                  bundles.name_substring_stats(e.model, bundles.NAME_TERMS))
-                                 for e in parsed]),
-        report.model_stats_table(bundles.model_stats([(e.record, e.model) for e in parsed])),
+        report.contact_table([e.contact for e in corpus.entries if e.contact is not None]),
+        report.name_stats_table([(e.record.source_name, e.name_terms) for e in parsed]),
+        report.model_stats_table(bundles.model_stats([(e.record.robot_type, *e.size)
+                                                      for e in parsed])),
     ]
 
 
 def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
-    files = [p for p in bundles._walk(corpus.root)
+    files = [p for p in bundles._walk(corpus.root, "*", corpus.unlistable)
              if p.is_file() and p.name not in ("source-information.json", "meta-information.json")]
     io_errors: list = []
     groups = dedup.find_duplicates(files, errors=io_errors)
@@ -232,9 +268,8 @@ def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
 
 def _discrepancies(args: argparse.Namespace, corpus: _Corpus) -> report.ReportTable:
     entry_of = {id(e.record): e for e in corpus.entries}
-    groups = compare.find_multiply_defined([e.record for e in corpus.entries])
     rows = []
-    for records in groups.values():
+    for records in corpus.groups.values():
         entries = [entry_of[id(r)] for r in records]
         rep = compare.compare_group([(e.record, e.model, e.text) for e in entries],
                                     fk_samples=args.fk_samples, fk_seed=args.seed, fk_tol=args.fk_tol)
@@ -242,11 +277,6 @@ def _discrepancies(args: argparse.Namespace, corpus: _Corpus) -> report.ReportTa
         rows.append((lead.robot_name, lead.manufacturer, lead.robot_type, rep))
     rows.sort(key=lambda r: (r[0], r[1]))
     return report.discrepancies_table(rows)
-
-
-def _emit_and_exit(args: argparse.Namespace, tables: list[report.ReportTable]) -> int:
-    _emit_tables(args, tables)
-    return EXIT_OK
 
 
 def _emit_tables(args: argparse.Namespace, tables: list[report.ReportTable]) -> None:

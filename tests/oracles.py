@@ -4,8 +4,9 @@ These deliberately take different routes: forward kinematics goes
 through scipy rotations and 4x4 homogeneous matrices, duplicate
 grouping is a pairwise O(n^2) comparison with its own byte-level
 normalizer, line counting is a split-free scanner, discrepancy flags
-compare every cross-source pair of members, and the joint-graph verdict
-asks of every link what it reaches.
+compare every cross-source pair of members, the joint-graph verdict
+asks of every link what it reaches, and the per-bundle corpus tables are
+built from full models parsed afresh.
 """
 
 from __future__ import annotations
@@ -236,3 +237,42 @@ def oracle_graph_problems(model) -> list[tuple[str, str, str]]:
     problems += [("shared", name, f"link '{name}' is the child of several joints")
                  for name in declared if child_of.count(name) > 1]
     return problems
+
+
+# --------------------------------------------------------------------------
+# Per-bundle corpus tables.
+# --------------------------------------------------------------------------
+
+
+def oracle_bundle_tables(root: Path) -> list:
+    """The xacro, mesh_types, contact, name_stats and model_stats tables of
+    a corpus, in that order, from every bundle's full model and text.
+
+    Each URDF is read and validated afresh, and every row comes from the
+    public per-file functions; nothing is reduced or kept between tables.
+    A URDF that cannot be read (missing, unreadable, a directory) gives
+    no text; one that fails validation gives no model.
+    """
+    from urdf_inspect import bundles, report
+    from urdf_inspect.validator import validate
+
+    xacro, meshes, contact, names, sizes = [], [], [], [], []
+    for record in bundles.scan_corpus(root):
+        try:
+            raw = record.urdf_file.read_bytes()
+        except OSError:
+            raw = None
+        text = None if raw is None else raw.decode("utf-8", errors="replace")
+        model = None if raw is None else validate(raw).model
+        source = record.source_name
+        banner = text is not None and bundles.detect_xacro_generated(text)
+        xacro.append((source, record.xacro_generated_by_dataset, banner))
+        if text is not None:
+            contact.append(bundles.contact_markers(text))
+        if model is not None:
+            meshes.append((source, bundles.mesh_inventory(model)))
+            names.append((source, bundles.name_substring_stats(model, bundles.NAME_TERMS)))
+            sizes.append((record.robot_type, len(model.links), len(model.joints)))
+    return [report.xacro_table(xacro), report.mesh_types_table(meshes),
+            report.contact_table(contact), report.name_stats_table(names),
+            report.model_stats_table(bundles.model_stats(sizes))]

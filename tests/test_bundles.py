@@ -388,36 +388,20 @@ class TestNameSubstringStats:
 
 
 class TestModelStats:
-    def _record(self, robot_type):
-        # only robot_type matters for grouping
-        from urdf_inspect.bundles import BundleRecord
-        from pathlib import Path
-        return BundleRecord(id="x", robot_name="x", robot_type=robot_type,
-                            manufacturer="m", source_name="s", source_url="",
-                            urdf_path=Path("x.urdf"), xacro_generated_by_dataset=False,
-                            root_dir=Path("."))
-
-    def _model(self, links, joints):
-        parts = [f'<link name="l{i}"/>' for i in range(links)]
-        for i in range(joints):
-            parts.append(f'<joint name="j{i}" type="fixed">'
-                         f'<parent link="l{i}"/><child link="l{i+1}"/></joint>')
-        return parse_urdf(f'<robot name="r">{"".join(parts)}</robot>')
-
     def test_mean(self):
-        rows = [(self._record("robotic arm"), self._model(10, 9)),
-                (self._record("robotic arm"), self._model(12, 11))]
-        assert model_stats(rows) == {"robotic arm": (11, 10)}
+        assert model_stats([("robotic arm", 10, 9), ("robotic arm", 12, 11)]) == {
+            "robotic arm": (11, 10)}
 
     def test_rounding_half_up(self):
-        rows = [(self._record("end effector"), self._model(2, 1)),
-                (self._record("end effector"), self._model(3, 2))]
-        assert model_stats(rows) == {"end effector": (3, 2)}
+        assert model_stats([("end effector", 2, 1), ("end effector", 3, 2)]) == {
+            "end effector": (3, 2)}
 
     def test_groups_are_independent(self):
-        rows = [(self._record("robotic arm"), self._model(4, 3)),
-                (self._record("mobile robot"), self._model(8, 7))]
+        rows = [("robotic arm", 4, 3), ("mobile robot", 8, 7)]
         assert model_stats(rows) == {"robotic arm": (4, 3), "mobile robot": (8, 7)}
+
+    def test_untyped_bundle_counts_towards_no_mean(self):
+        assert model_stats([("", 50, 49), ("arm", 2, 1)]) == {"arm": (2, 1)}
 
     def test_empty_input(self):
         assert model_stats([]) == {}

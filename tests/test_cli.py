@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -8,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import urdf_inspect
+from urdf_inspect import cli, report
 from urdf_inspect.cli import run_cli
+from urdf_inspect.model import RobotModel
 
-from conftest import LISTING1, simple_urdf, write_bundle, write_source
+from conftest import LISTING1, XACRO_BANNER, simple_urdf, write_bundle, write_source
+from oracles import oracle_bundle_tables
 
 
 @pytest.fixture
@@ -303,7 +307,9 @@ class TestScanCommand:
 
         monkeypatch.setattr(os, "scandir", failing)
         assert run_cli(["--out", str(part), "scan", str(small_corpus)]) == 0
-        assert f"warning: cannot list {beta}: Permission denied" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning: cannot list")] == [
+            f"warning: cannot list {beta}: Permission denied"]  # once, though three walks meet it
 
         def alpha_rows(table):
             return [row for row in read_csv(table) if row and row[0].split("/")[0] == "alpha"]
@@ -313,6 +319,23 @@ class TestScanCommand:
         assert sum(len(alpha_rows(t)) for t in tables) > 0
         for table in tables:
             assert alpha_rows(part / table.name) == alpha_rows(table), table.name
+
+    @pytest.mark.parametrize("command", ["scan", "dupes", "stats"])
+    def test_unlistable_bundle_directory_named_once(self, small_corpus, tmp_path,
+                                                    monkeypatch, capsys, command):
+        # the source walks, the license walk and the dedup walk all enter meshes/
+        meshes = small_corpus / "alpha" / "gripper_description" / "meshes"
+        scandir = os.scandir
+
+        def failing(path="."):
+            if Path(path) == meshes:
+                raise PermissionError(13, "Permission denied", str(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", failing)
+        assert run_cli(["--out", str(tmp_path / "reports"), command, str(small_corpus)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: cannot list {meshes}: Permission denied"]
 
     def test_two_runs_byte_identical(self, small_corpus, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -398,3 +421,118 @@ def test_numpy_loads_only_for_fk(small_corpus, tmp_path, command, loads_numpy):
     if command == "scan":  # the shared robot still gets an FK verdict
         header, row = read_csv(out / "discrepancies.csv")
         assert dict(zip(header, row))["fk"] == "false"
+
+
+def _live_models() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is RobotModel)
+
+
+def test_only_multiply_defined_members_keep_model_and_text(small_corpus):
+    before = _live_models()
+    corpus = cli._load_corpus(small_corpus)
+    assert _live_models() - before == 2
+    assert list(corpus.groups) == [("acme", "planar")]
+    assert {e.rel_file: (e.model is not None, e.text is not None) for e in corpus.entries} == {
+        "alpha/gripper_description": (False, False),
+        "alpha/planar_description": (True, True),
+        "beta/planar_description": (True, True),
+        "beta/rover_description": (False, False),
+    }
+    assert all(e.size is not None and e.contact is not None for e in corpus.entries)
+
+
+def _graph_urdf(name: str, links: str, joints: list[tuple[str, str]]) -> str:
+    parts = [f'<link name="{link}"/>' for link in links]
+    parts += [f'<joint name="{p}_{c}" type="fixed"><parent link="{p}"/><child link="{c}"/></joint>'
+              for p, c in joints]
+    return f'<robot name="{name}">{"".join(parts)}</robot>'
+
+
+def test_scan_tables_match_full_model_oracle(tmp_path, monkeypatch):
+    root = tmp_path / "corpus"
+    alpha, beta, gamma = (write_source(root, name) for name in ("alpha", "beta", "gamma"))
+    arm = _graph_urdf("arm", ["world", "base", "tool_flange"],
+                      [("world", "base"), ("base", "tool_flange")])
+    base_mesh = '<mesh filename="package://arm/meshes/base.DAE"/>'
+    arm = arm.replace('<link name="base"/>',
+                      f'<link name="base"><visual><geometry>{base_mesh}</geometry></visual></link>')
+    # a robot in three sources, one copy of it failing to parse, and a same-source variant
+    write_bundle(alpha, "arm_description", XACRO_BANNER + arm, robot_name="arm")
+    write_bundle(alpha, "arm_v2_description", arm.replace("tool_flange", "tool0"),
+                 robot_name="arm")
+    write_bundle(beta, "arm_description", "<!-- author: jane@corp.com -->\n" + arm,
+                 robot_name="arm", xacro=True)
+    write_bundle(gamma, "arm_description", "<!-- x@y -->\n<robot><link>", robot_name="arm")
+    # singletons: a valid one, an A-E-invalid one (code D) and an unreadable one
+    write_bundle(beta, "rover_description", simple_urdf("rover", collision_mesh="hull.stl"),
+                 robot_name="rover", robot_type="mobile robot")
+    write_bundle(gamma, "noname_description", '<!-- author --><robot><link name="world"/></robot>',
+                 robot_name="noname", robot_type="mobile robot")
+    write_bundle(gamma, "locked_description", LISTING1, robot_name="locked")
+    # metadata without a URDF: a described file that is absent, and no location at all
+    gone = write_bundle(gamma, "gone_description", LISTING1, robot_name="gone")
+    (gone / "urdf" / "gone.urdf").unlink()
+    (gamma / "bare").mkdir()
+    (gamma / "bare" / "meta-information.json").write_text(json.dumps({"name": "bare", "id": "b"}))
+    (gamma / "orphan.urdf").write_text(simple_urdf("orphan", visual_mesh="x.obj"))
+
+    read_bytes = Path.read_bytes
+
+    def failing(path):
+        if path.name == "locked.urdf":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", failing)
+    expected = oracle_bundle_tables(root)
+    # the F and D files were read, so their markers count; neither gives a model
+    assert expected[2].rows == (("author", 2), ("at_sign", 2), ("dot_com", 1))
+    assert expected[4].rows == (("mobile robot", 2, 1), ("robotic arm", 3, 2))
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert run_cli(["--format", fmt, "--out", str(out), "scan", str(root)]) == 0
+        for table in expected:
+            written = out / f"{table.name}.{fmt}"
+            want = written.with_suffix(".oracle")
+            with want.open("wb") as sink:
+                report.emit(table, fmt, sink)
+            assert written.read_bytes() == want.read_bytes(), table.name
+    assert read_csv(tmp_path / "csv" / "discrepancies.csv")[1:] == [
+        ["arm", "Acme", "robotic arm", "alpha;beta;gamma", "false", "false", "false",
+         "incomparable", "true", "true", "false"]]
+
+
+def test_odd_joint_graphs_are_w_other_rows_and_incomparable(tmp_path):
+    root = tmp_path / "corpus"
+    s1, s2 = write_source(root, "s1"), write_source(root, "s2")
+    write_bundle(s1, "multi_description", _graph_urdf("multi", "abc", [("a", "c")]),
+                 robot_name="multi")
+    write_bundle(s1, "loop_description",
+                 _graph_urdf("loop", "abc", [("a", "b"), ("b", "c"), ("c", "b")]),
+                 robot_name="loop")
+    write_bundle(s1, "ring_description", _graph_urdf("ring", "abc", [("b", "c"), ("c", "b")]),
+                 robot_name="ring")
+    diamond = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+    write_bundle(s1, "diamond_description", _graph_urdf("diamond", "abcd", diamond),
+                 robot_name="diamond")
+    write_bundle(s2, "diamond_description",
+                 _graph_urdf("diamond", "abcde", [*diamond[:3], ("c", "e")]),
+                 robot_name="diamond")
+    out = tmp_path / "reports"
+    assert run_cli(["--out", str(out), "scan", str(root)]) == 0
+    assert read_csv(out / "parsing_errors.csv")[1:] == [
+        ["s1/diamond_description", "warning", "W_OTHER", "d", "0",
+         "link 'd' is the child of several joints"],
+        ["s1/loop_description", "warning", "W_OTHER", "loop", "0", "joint graph contains a cycle"],
+        ["s1/loop_description", "warning", "W_OTHER", "b", "0",
+         "link 'b' is the child of several joints"],
+        ["s1/multi_description", "warning", "W_OTHER", "a, b", "0",
+         "2 root links (no unique base)"],
+        ["s1/ring_description", "warning", "W_OTHER", "ring", "0", "joint graph contains a cycle"],
+        ["s1/ring_description", "warning", "W_OTHER", "b, c", "0",
+         "2 links unreachable from root"],
+    ]
+    header, row = read_csv(out / "discrepancies.csv")
+    assert dict(zip(header, row))["fk"] == "incomparable"
+    assert dict(zip(header, row))["joints"] == "false"  # the tree copy has as many joints
