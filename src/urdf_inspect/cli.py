@@ -9,11 +9,11 @@ Subcommands:
     stats <root>          model/name/contact/license tables
 
 The corpus commands read and parse every bundle's URDF once and keep
-only the facts the tables read of it: its diagnostics, xacro banner,
-contact markers, mesh inventory, name-term counts and link and joint
-counts.  The parsed model and decoded text stay in memory only for the
-members of multiply defined robots, which the discrepancy comparison
-reads again.
+only the facts the tables read of it: its diagnostics and, under scan
+and stats, its xacro banner, contact markers, mesh inventory, name-term
+counts and link and joint counts.  The parsed model and decoded text
+stay in memory only for the members of multiply defined robots, which
+the discrepancy comparison reads again.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage error,
 3 I/O failure.
@@ -79,7 +79,7 @@ def run_cli(argv: list[str]) -> int:
             return _cmd_validate(args)
         if args.command == "inspect":
             return _cmd_inspect(args)
-        corpus = _load_corpus(args.root)
+        corpus = _load_corpus(args.root, facts=args.command in ("scan", "stats"))
         if args.command == "scan":
             tables = _corpus_tables(args, corpus)
         elif args.command == "compare":
@@ -108,7 +108,8 @@ def main() -> None:
 
 @dataclass
 class _Entry:
-    """One bundle, reduced to what the tables read of its URDF."""
+    """One bundle, reduced to what the tables read of its URDF.  Every fact
+    but the diagnostics stays at its default when the command reads none."""
 
     record: BundleRecord
     diagnostics: list[Diagnostic]
@@ -151,35 +152,38 @@ def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnost
     return raw, result.model, diags
 
 
-def _load_entry(record: BundleRecord, keep: bool) -> _Entry:
+def _load_entry(record: BundleRecord, keep: bool, facts: bool) -> _Entry:
     """Analyze one bundle's URDF and reduce the result to its entry; the
-    model and text stay on it only when ``keep``."""
+    table facts are taken only when ``facts``, and the model and text stay
+    on it only when ``keep``."""
     raw, model, diags = None, None, []
     urdf = record.urdf_file
     if record.urdf_path != Path() and urdf.exists():
         raw, model, diags = _analyze(urdf)
     entry = _Entry(record, diags)
-    if raw is not None:
-        text = raw.decode("utf-8", errors="replace")
+    text = raw.decode("utf-8", errors="replace") if raw is not None and (keep or facts) else None
+    if keep:
+        entry.text, entry.model = text, model
+    if facts and text is not None:
         entry.xacro_banner = bundles.detect_xacro_generated(text)
         entry.contact = bundles.contact_markers(text)
-        entry.text = text if keep else None
-    if model is not None:
+    if facts and model is not None:
         entry.meshes = bundles.mesh_inventory(model)
         entry.name_terms = bundles.name_substring_stats(model, bundles.NAME_TERMS)
         entry.size = (len(model.links), len(model.joints))
-        entry.model = model if keep else None
     return entry
 
 
-def _load_corpus(root: Path) -> _Corpus:
+def _load_corpus(root: Path, facts: bool) -> _Corpus:
+    """Every bundle, each URDF parsed once; the per-bundle table facts are
+    taken only when ``facts`` (``scan`` and ``stats`` read them)."""
     corpus_root = bundles._corpus_root(root)
     unlistable: list[OSError] = []
     records = bundles.scan_corpus(root, unlistable)
     groups = compare.find_multiply_defined(records)
     members = {id(r) for group in groups.values() for r in group}
-    return _Corpus(corpus_root, groups, [_load_entry(r, id(r) in members) for r in records],
-                   unlistable)
+    entries = [_load_entry(r, id(r) in members, facts) for r in records]
+    return _Corpus(corpus_root, groups, entries, unlistable)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,12 @@ Everything here is immutable after parsing: models can be shared across
 threads and compared structurally.  Parsing is strict about XML
 well-formedness and numeric attribute arity, and lenient about unknown
 vendor elements (those are skipped and recorded as notices).
+
+A model is built in one pass over expat's events.  Only the elements it
+reads are kept, and each link child, joint and top-level material is
+built at its end tag, so notices come in document order.  The first URDF
+failure (wrong arity, a non-number, a root other than <robot>) is held
+while expat reads on: malformed XML anywhere in the document wins.
 """
 
 from __future__ import annotations
@@ -223,25 +229,8 @@ def line_count(raw_text: str) -> int:
 
 
 # --------------------------------------------------------------------------
-# XML layer: a minimal position-tracking element tree built on expat.
+# URDF layer: the model is built in one pass over expat's events.
 # --------------------------------------------------------------------------
-
-
-class _XmlElement:
-    __slots__ = ("tag", "attrib", "children", "line", "column")
-
-    def __init__(self, tag: str, attrib: dict[str, str], line: int, column: int):
-        self.tag = tag
-        self.attrib = attrib
-        self.children: list[_XmlElement] = []
-        self.line = line
-        self.column = column
-
-    def find(self, tag: str) -> "_XmlElement | None":
-        for child in self.children:
-            if child.tag == tag:
-                return child
-        return None
 
 
 def _decode(xml_text: str | bytes) -> str:
@@ -259,43 +248,20 @@ def _decode(xml_text: str | bytes) -> str:
     return text.lstrip("﻿")
 
 
-def _read_document(text: str) -> _XmlElement:
-    parser = expat.ParserCreate()
-    parser.buffer_text = True
-    root: list[_XmlElement] = []
-    stack: list[_XmlElement] = []
-
-    def start(tag: str, attrib: dict[str, str]) -> None:
-        element = _XmlElement(tag, attrib, parser.CurrentLineNumber, parser.CurrentColumnNumber)
-        if stack:
-            stack[-1].children.append(element)
-        elif not root:
-            root.append(element)
-        stack.append(element)
-
-    def end(tag: str) -> None:
-        stack.pop()
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    try:
-        parser.Parse(text, True)
-    except expat.ExpatError as exc:
-        raise ParseFailure(str(exc), exc.lineno, exc.offset) from None
-    finally:  # the handlers and the parser refer to each other; free the tree without the GC
-        parser.StartElementHandler = parser.EndElementHandler = None
-    return root[0]
-
-
-# --------------------------------------------------------------------------
-# URDF layer.
-# --------------------------------------------------------------------------
-
 # Standard URDF/ROS elements we do not model; skipping them is expected
 # and produces no notice, unlike genuinely unknown vendor elements.
 _UNMODELED = {"gazebo", "transmission", "ros2_control", "dynamics", "calibration",
               "mimic", "safety_controller", "sensor"}
 _JOINT_CHILDREN = {"parent", "child", "origin", "axis", "limit"} | _UNMODELED
+# The children the model reads, by parent: <robot> and <link> read each of
+# theirs, the others the first of each tag.  Of these, only a <geometry> and
+# a <material> have children the model reads.
+_MODELED = {
+    "robot": {"link", "joint", "material"}, "link": {"inertial", "visual", "collision"},
+    "inertial": {"origin", "mass", "inertia"}, "visual": {"origin", "geometry", "material"},
+    "collision": {"origin", "geometry"}, "material": {"color", "texture"},
+    "joint": {"parent", "child", "origin", "axis", "limit"},
+}
 
 # Primitive shapes: the class and its required attributes with their arities,
 # in constructor order.  Every value should be positive.
@@ -306,93 +272,117 @@ _SHAPES = {
 }
 _INERTIA = dict.fromkeys(("ixx", "ixy", "ixz", "iyy", "iyz", "izz"), 1)
 _LIMIT_BOUNDS = ("lower", "upper", "effort", "velocity")
+_JOINT_KINDS = {kind.value: kind for kind in JointKind}
+_ZERO_POSE = Pose()
 
 
-class _Parser:
+class _Builder:
+    """Builds one RobotModel from the expat events of one document.
+
+    An element the model reads is a tuple (tag, attrib, line, column).  An
+    element whose children it reads is a frame: those four, then ``first``,
+    its first child of each tag read, and ``rest``, the children it keeps in
+    order (all of a <geometry>'s, the unknown ones of a <joint>).
+    """
+
     def __init__(self) -> None:
         self.notices: list[ParseNotice] = []
         self.materials: list[Material] = []
+        self.links: list[Link] = []
+        self.joints: list[Joint] = []
+        self.inertial, self.visuals, self.collisions = None, [], []  # the open link's
+        self.numbers: dict[tuple[str, int], tuple] = {}  # (raw, count) -> (value, all finite)
 
-    def notice(self, element: _XmlElement, message: str) -> None:
-        self.notices.append(ParseNotice(element.tag, message, element.line, element.column))
+    def notice(self, element: tuple, message: str) -> None:
+        self.notices.append(ParseNotice(element[0], message, element[2], element[3]))
 
-    def floats(self, element: _XmlElement | None, attr: str, count: int,
+    def floats(self, element: tuple | None, attr: str, count: int,
                default: tuple[float, ...] | None = None) -> float | tuple[float, ...] | None:
         """Parse a whitespace-separated list of ``count`` floats, one float
         when ``count`` is 1; ``default`` when the element or the attribute is
-        absent.  A wrong arity or a non-number is fatal."""
-        raw = None if element is None else element.attrib.get(attr)
+        absent.  A wrong arity or a non-number is fatal.  Each string is read
+        once per document; a non-finite value is noticed wherever it occurs."""
+        raw = None if element is None else element[1].get(attr)
         if raw is None:
             return default
-        parts = raw.split()
-        if len(parts) != count:
-            raise ParseFailure(f"attribute '{attr}' of <{element.tag}> must hold {count} "
-                               f"numbers, got {len(parts)}", element.line, element.column)
-        try:
-            values = tuple(map(float, parts))
-        except ValueError:
-            raise ParseFailure(f"attribute '{attr}' of <{element.tag}> is not numeric: {raw!r}",
-                               element.line, element.column) from None
-        if not all(map(math.isfinite, values)):
+        known = self.numbers.get((raw, count))
+        if known is None:
+            tag, _, line, column = element
+            parts = raw.split()
+            if len(parts) != count:
+                raise ParseFailure(f"attribute '{attr}' of <{tag}> must hold {count} "
+                                   f"numbers, got {len(parts)}", line, column)
+            try:
+                values = tuple(map(float, parts))
+            except ValueError:
+                raise ParseFailure(f"attribute '{attr}' of <{tag}> is not numeric: {raw!r}",
+                                   line, column) from None
+            known = (values[0] if count == 1 else values, all(map(math.isfinite, values)))
+            self.numbers[raw, count] = known
+        if not known[1]:
             self.notice(element, f"attribute '{attr}' holds a non-finite value")
-        return values[0] if count == 1 else values
+        return known[0]
 
-    def required(self, element: _XmlElement, arities: dict[str, int]) -> list | None:
+    def required(self, element: tuple, arities: dict[str, int]) -> list | None:
         """The values of every attribute in ``arities``, in order, read with
         ``floats``.  When any is absent, nothing is read: one notice names
         the missing ones and the result is None."""
-        missing = [attr for attr in arities if attr not in element.attrib]
+        missing = [attr for attr in arities if attr not in element[1]]
         if missing:
-            self.notice(element, f"<{element.tag}> is missing {', '.join(missing)}; skipped")
+            self.notice(element, f"<{element[0]}> is missing {', '.join(missing)}; skipped")
             return None
         return [self.floats(element, attr, count) for attr, count in arities.items()]
 
-    def pose(self, element: _XmlElement | None) -> Pose:
+    def pose(self, element: tuple | None) -> Pose:
+        if element is None:
+            return _ZERO_POSE
         return Pose(self.floats(element, "xyz", 3, ZERO3), self.floats(element, "rpy", 3, ZERO3))
 
-    def geometry(self, parent: _XmlElement) -> Geometry | None:
-        geom = parent.find("geometry")
+    def geometry(self, frame: tuple) -> Geometry | None:
+        geom = frame[4].get("geometry")
         if geom is None:
-            self.notice(parent, f"<{parent.tag}> has no <geometry> child; skipped")
+            self.notice(frame, f"<{frame[0]}> has no <geometry> child; skipped")
             return None
-        for shape in geom.children:
-            if shape.tag in _SHAPES:
-                cls, arities = _SHAPES[shape.tag]
+        for shape in geom[5]:
+            tag, attrib, _, _ = shape
+            if tag in _SHAPES:
+                cls, arities = _SHAPES[tag]
                 values = self.required(shape, arities)
                 if values is None:
                     return None
                 if any(v <= 0 for value in values
                        for v in (value if isinstance(value, tuple) else (value,))):
-                    self.notice(shape, f"<{shape.tag}> has a non-positive dimension")
+                    self.notice(shape, f"<{tag}> has a non-positive dimension")
                 return cls(*values)
-            if shape.tag == "mesh":
-                uri = shape.attrib.get("filename", "")
+            if tag == "mesh":
+                uri = attrib.get("filename", "")
                 if not uri:
                     self.notice(shape, "<mesh> has no filename; skipped")
                     return None
                 return Mesh(uri, self.floats(shape, "scale", 3, (1.0, 1.0, 1.0)))
-            self.notice(shape, f"unknown geometry shape <{shape.tag}>")
+            self.notice(shape, f"unknown geometry shape <{tag}>")
         self.notice(geom, "<geometry> holds no recognized shape; skipped")
         return None
 
-    def material(self, element: _XmlElement) -> Material:
-        name = element.attrib.get("name", "")
-        rgba = self.floats(element.find("color"), "rgba", 4)
-        tex = element.find("texture")
-        texture = tex.attrib.get("filename") if tex is not None else None
+    def material(self, frame: tuple) -> Material:
+        _, attrib, _, _, first, _ = frame
+        name = attrib.get("name", "")
+        rgba = self.floats(first.get("color"), "rgba", 4)
+        tex = first.get("texture")
+        texture = tex[1].get("filename") if tex is not None else None
         material = Material(name, rgba, texture)
         if name and material.defines_appearance:
             self.materials.append(material)
         return material
 
-    def inertial(self, element: _XmlElement) -> Inertial | None:
-        mass_el = element.find("mass")
-        inertia_el = element.find("inertia")
-        if mass_el is None or "value" not in mass_el.attrib:
-            self.notice(element, "<inertial> lacks a mass value; skipped")
+    def inertial_of(self, frame: tuple) -> Inertial | None:
+        first = frame[4]
+        mass_el, inertia_el = first.get("mass"), first.get("inertia")
+        if mass_el is None or "value" not in mass_el[1]:
+            self.notice(frame, "<inertial> lacks a mass value; skipped")
             return None
         if inertia_el is None:
-            self.notice(element, "<inertial> lacks an <inertia> element; skipped")
+            self.notice(frame, "<inertial> lacks an <inertia> element; skipped")
             return None
         moments = self.required(inertia_el, _INERTIA)
         if moments is None:
@@ -400,43 +390,27 @@ class _Parser:
         mass = self.floats(mass_el, "value", 1)
         if mass < 0:
             self.notice(mass_el, "negative mass")
-        return Inertial(self.pose(element.find("origin")), mass, tuple(moments))
+        return Inertial(self.pose(first.get("origin")), mass, tuple(moments))
 
-    def link(self, element: _XmlElement) -> Link:
-        name = element.attrib.get("name", "")
-        inertial = None
-        visuals: list[Visual] = []
-        collisions: list[Collision] = []
-        for child in element.children:
-            if child.tag == "inertial":
-                if inertial is None:
-                    inertial = self.inertial(child)
-                else:
-                    self.notice(child, "extra <inertial> ignored")
-            elif child.tag == "visual":
-                geometry = self.geometry(child)
-                if geometry is None:
-                    continue
-                material_el = child.find("material")
-                material_name = None
-                if material_el is not None:
-                    material_name = material_el.attrib.get("name") or None
-                    self.material(material_el)
-                visuals.append(
-                    Visual(self.pose(child.find("origin")), geometry, material_name,
-                           child.line, child.column)
-                )
-            elif child.tag == "collision":
-                geometry = self.geometry(child)
-                if geometry is None:
-                    continue
-                collisions.append(Collision(self.pose(child.find("origin")), geometry))
-            elif child.tag not in _UNMODELED:
-                self.notice(child, f"unknown element <{child.tag}> in <link>")
-        return Link(name, inertial, tuple(visuals), tuple(collisions),
-                    element.line, element.column)
+    def visual(self, frame: tuple) -> None:
+        geometry = self.geometry(frame)
+        if geometry is None:
+            return
+        _, _, line, column, first, _ = frame
+        material = first.get("material")
+        material_name = None
+        if material is not None:
+            material_name = material[1].get("name") or None
+            self.material(material)
+        self.visuals.append(Visual(self.pose(first.get("origin")), geometry, material_name,
+                                   line, column))
 
-    def joint_limit(self, element: _XmlElement | None) -> JointLimit | None:
+    def collision(self, frame: tuple) -> None:
+        geometry = self.geometry(frame)
+        if geometry is not None:
+            self.collisions.append(Collision(self.pose(frame[4].get("origin")), geometry))
+
+    def joint_limit(self, element: tuple | None) -> JointLimit | None:
         if element is None:
             return None
         values = {attr: self.floats(element, attr, 1) for attr in _LIMIT_BOUNDS}
@@ -445,61 +419,110 @@ class _Parser:
             self.notice(element, "limit lower bound exceeds upper bound")
         return JointLimit(**values)
 
-    def joint(self, element: _XmlElement) -> Joint:
-        name = element.attrib.get("name", "")
-        type_name = element.attrib.get("type", "")
-        try:
-            kind = JointKind(type_name)
-        except ValueError:
-            kind = None
-            self.notice(element, f"joint '{name}' has unrecognized type {type_name!r}")
-        parent_el, child_el = element.find("parent"), element.find("child")
-        parent = parent_el.attrib.get("link", "") if parent_el is not None else ""
-        child_link = child_el.attrib.get("link", "") if child_el is not None else ""
-        axis = self.floats(element.find("axis"), "xyz", 3, DEFAULT_AXIS)
-        for sub in element.children:
-            if sub.tag not in _JOINT_CHILDREN:
-                self.notice(sub, f"unknown element <{sub.tag}> in <joint>")
-        return Joint(
-            name=name,
-            kind=kind,
-            type_name=type_name,
-            parent=parent,
-            child=child_link,
-            origin=self.pose(element.find("origin")),
-            axis=axis,
-            limit=self.joint_limit(element.find("limit")),
-            line=element.line,
-            column=element.column,
-        )
+    def joint(self, frame: tuple) -> Joint:
+        _, attrib, line, column, first, unknown = frame
+        name, type_name = attrib.get("name", ""), attrib.get("type", "")
+        kind = _JOINT_KINDS.get(type_name)
+        if kind is None:
+            self.notice(frame, f"joint '{name}' has unrecognized type {type_name!r}")
+        parent, child_link = (first[role][1].get("link", "") if role in first else ""
+                              for role in ("parent", "child"))
+        axis = self.floats(first.get("axis"), "xyz", 3, DEFAULT_AXIS)
+        for sub in unknown:
+            self.notice(sub, f"unknown element <{sub[0]}> in <joint>")
+        return Joint(name, kind, type_name, parent, child_link, self.pose(first.get("origin")),
+                     axis, self.joint_limit(first.get("limit")), line, column)
 
-    def robot(self, root: _XmlElement) -> RobotModel:
-        links: list[Link] = []
-        joints: list[Joint] = []
-        for child in root.children:
-            if child.tag == "link":
-                links.append(self.link(child))
-            elif child.tag == "joint":
-                joints.append(self.joint(child))
-            elif child.tag == "material":
-                self.material(child)
-            elif child.tag not in _UNMODELED:
-                self.notice(child, f"unknown element <{child.tag}> in <robot>")
-        for attr in root.attrib:
+    def build(self, text: str) -> RobotModel:
+        """Read ``text`` with expat, building every <link> child, <joint> and
+        top-level <material> at its end tag, so notices and the first
+        failure come in document order.  A URDF failure is held while expat
+        reads on, so an XML error anywhere in the document wins over it."""
+        parser = expat.ParserCreate()
+        stack: list[tuple] = []  # the open frames, the root first
+        root: tuple = ()
+        skip = 0  # open elements of a subtree the model does not read
+        held: list[tuple[str, int, int]] = []  # the first failure: message, line, column
+
+        def hold(message: str, line: int, column: int) -> None:
+            held.append((message, line, column))
+            parser.StartElementHandler = parser.EndElementHandler = None
+
+        def start(tag: str, attrib: dict[str, str]) -> None:
+            nonlocal skip, root
+            if skip:
+                skip += 1
+                return
+            element = (tag, attrib, parser.CurrentLineNumber, parser.CurrentColumnNumber)
+            if not stack:
+                if tag == "robot":
+                    root = element + ({}, [])
+                    stack.append(root)
+                else:
+                    hold(f"root element is <{tag}>, expected <robot>", *element[2:])
+                return
+            parent, _, _, _, first, rest = stack[-1]
+            skip = 1
+            if parent == "geometry" or (parent == "joint" and tag not in _JOINT_CHILDREN):
+                rest.append(element)
+            elif parent == "robot" or parent == "link":
+                if tag not in _MODELED[parent]:
+                    if tag not in _UNMODELED:
+                        self.notice(element, f"unknown element <{tag}> in <{parent}>")
+                elif tag == "inertial" and self.inertial is not None:
+                    self.notice(element, "extra <inertial> ignored")
+                else:
+                    if tag == "link":
+                        self.inertial, self.visuals, self.collisions = None, [], []
+                    stack.append(element + ({}, []))
+                    skip = 0
+            elif tag in _MODELED[parent] and tag not in first:
+                if tag == "geometry" or tag == "material":
+                    element += ({}, [])
+                    stack.append(element)
+                    skip = 0
+                first[tag] = element
+
+        def end(tag: str) -> None:
+            nonlocal skip
+            if skip:
+                skip -= 1
+                return
+            frame = stack.pop()
+            try:
+                if tag == "link":
+                    self.links.append(Link(frame[1].get("name", ""), self.inertial,
+                                           tuple(self.visuals), tuple(self.collisions),
+                                           frame[2], frame[3]))
+                elif tag == "joint":
+                    self.joints.append(self.joint(frame))
+                elif tag == "visual":
+                    self.visual(frame)
+                elif tag == "collision":
+                    self.collision(frame)
+                elif tag == "inertial":
+                    self.inertial = self.inertial_of(frame)
+                elif tag == "material" and len(stack) == 1:
+                    self.material(frame)
+            except ParseFailure as failure:
+                hold(failure.message, failure.line, failure.column)
+
+        parser.StartElementHandler = start
+        parser.EndElementHandler = end
+        try:
+            parser.Parse(text, True)
+        except expat.ExpatError as exc:
+            raise ParseFailure(str(exc), exc.lineno, exc.offset) from None
+        finally:  # the handlers and the parser refer to each other; free them without the GC
+            parser.StartElementHandler = parser.EndElementHandler = None
+        if held:
+            raise ParseFailure(*held[0])
+        _, attrib, line, column, _, _ = root
+        for attr in attrib:
             if attr != "name" and not attr.startswith("xmlns"):
-                self.notices.append(
-                    ParseNotice("robot", f"unknown attribute {attr!r} on <robot>",
-                                root.line, root.column)
-                )
-        return RobotModel(
-            name=root.attrib.get("name", ""),
-            links=tuple(links),
-            joints=tuple(joints),
-            materials=tuple(self.materials),
-            notices=tuple(self.notices),
-            line=root.line,
-            column=root.column,
-        )
+                self.notice(root, f"unknown attribute {attr!r} on <robot>")
+        return RobotModel(attrib.get("name", ""), tuple(self.links), tuple(self.joints),
+                          tuple(self.materials), tuple(self.notices), line, column)
 
 
 def parse_urdf(xml_text: str | bytes) -> RobotModel:
@@ -508,11 +531,8 @@ def parse_urdf(xml_text: str | bytes) -> RobotModel:
     Accepts UTF-8 with or without BOM.  Raises ParseFailure (taxonomy
     code F) for anything that prevents building a model: bad encoding,
     malformed XML, a root element other than ``robot``, or a numeric
-    attribute list with the wrong arity.  Pure function: identical input
+    attribute list with the wrong arity.  Malformed XML anywhere in the
+    document wins over the others.  Pure function: identical input
     yields a structurally identical model.
     """
-    text = _decode(xml_text)
-    root = _read_document(text)
-    if root.tag != "robot":
-        raise ParseFailure(f"root element is <{root.tag}>, expected <robot>", root.line, root.column)
-    return _Parser().robot(root)
+    return _Builder().build(_decode(xml_text))

@@ -5,16 +5,23 @@ through scipy rotations and 4x4 homogeneous matrices, duplicate
 grouping is a pairwise O(n^2) comparison with its own byte-level
 normalizer, line counting is a split-free scanner, discrepancy flags
 compare every cross-source pair of members, the joint-graph verdict
-asks of every link what it reaches, and the per-bundle corpus tables are
-built from full models parsed afresh.
+asks of every link what it reaches, the per-bundle corpus tables are
+built from full models parsed afresh, and URDF parsing builds a tree of
+the whole document before it walks that tree.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
+from xml.parsers import expat
 
 import numpy as np
 from scipy.spatial.transform import Rotation
+
+from urdf_inspect.model import (DEFAULT_AXIS, ZERO3, Box, Collision, Cylinder, Geometry,
+                                Inertial, Joint, JointKind, JointLimit, Link, Material, Mesh,
+                                ParseFailure, ParseNotice, Pose, RobotModel, Sphere, Visual)
 
 MOVING = ("revolute", "continuous", "prismatic")
 
@@ -276,3 +283,296 @@ def oracle_bundle_tables(root: Path) -> list:
     return [report.xacro_table(xacro), report.mesh_types_table(meshes),
             report.contact_table(contact), report.name_stats_table(names),
             report.model_stats_table(bundles.model_stats(sizes))]
+
+
+# --------------------------------------------------------------------------
+# URDF parsing, in two passes: XML layer, a minimal position-tracking
+# element tree built on expat.
+# --------------------------------------------------------------------------
+
+
+class _XmlElement:
+    __slots__ = ("tag", "attrib", "children", "line", "column")
+
+    def __init__(self, tag: str, attrib: dict[str, str], line: int, column: int):
+        self.tag = tag
+        self.attrib = attrib
+        self.children: list[_XmlElement] = []
+        self.line = line
+        self.column = column
+
+    def find(self, tag: str) -> "_XmlElement | None":
+        for child in self.children:
+            if child.tag == tag:
+                return child
+        return None
+
+
+def _decode(xml_text: str | bytes) -> str:
+    if isinstance(xml_text, bytes):
+        if xml_text.startswith(b"\xff\xfe") or xml_text.startswith(b"\xfe\xff"):
+            raise ParseFailure("unsupported encoding: UTF-16 byte order mark", 1, 0)
+        if xml_text.startswith(b"\xef\xbb\xbf"):
+            xml_text = xml_text[3:]
+        try:
+            text = xml_text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseFailure(f"document is not valid UTF-8: {exc}", 1, 0) from None
+    else:
+        text = xml_text
+    return text.lstrip("﻿")
+
+
+def _read_document(text: str) -> _XmlElement:
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    root: list[_XmlElement] = []
+    stack: list[_XmlElement] = []
+
+    def start(tag: str, attrib: dict[str, str]) -> None:
+        element = _XmlElement(tag, attrib, parser.CurrentLineNumber, parser.CurrentColumnNumber)
+        if stack:
+            stack[-1].children.append(element)
+        elif not root:
+            root.append(element)
+        stack.append(element)
+
+    def end(tag: str) -> None:
+        stack.pop()
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise ParseFailure(str(exc), exc.lineno, exc.offset) from None
+    finally:  # the handlers and the parser refer to each other; free the tree without the GC
+        parser.StartElementHandler = parser.EndElementHandler = None
+    return root[0]
+
+
+# --------------------------------------------------------------------------
+# URDF layer.
+# --------------------------------------------------------------------------
+
+# Standard URDF/ROS elements we do not model; skipping them is expected
+# and produces no notice, unlike genuinely unknown vendor elements.
+_UNMODELED = {"gazebo", "transmission", "ros2_control", "dynamics", "calibration",
+              "mimic", "safety_controller", "sensor"}
+_JOINT_CHILDREN = {"parent", "child", "origin", "axis", "limit"} | _UNMODELED
+
+# Primitive shapes: the class and its required attributes with their arities,
+# in constructor order.  Every value should be positive.
+_SHAPES = {
+    "box": (Box, {"size": 3}),
+    "cylinder": (Cylinder, {"radius": 1, "length": 1}),
+    "sphere": (Sphere, {"radius": 1}),
+}
+_INERTIA = dict.fromkeys(("ixx", "ixy", "ixz", "iyy", "iyz", "izz"), 1)
+_LIMIT_BOUNDS = ("lower", "upper", "effort", "velocity")
+
+
+class _Parser:
+    def __init__(self) -> None:
+        self.notices: list[ParseNotice] = []
+        self.materials: list[Material] = []
+
+    def notice(self, element: _XmlElement, message: str) -> None:
+        self.notices.append(ParseNotice(element.tag, message, element.line, element.column))
+
+    def floats(self, element: _XmlElement | None, attr: str, count: int,
+               default: tuple[float, ...] | None = None) -> float | tuple[float, ...] | None:
+        """Parse a whitespace-separated list of ``count`` floats, one float
+        when ``count`` is 1; ``default`` when the element or the attribute is
+        absent.  A wrong arity or a non-number is fatal."""
+        raw = None if element is None else element.attrib.get(attr)
+        if raw is None:
+            return default
+        parts = raw.split()
+        if len(parts) != count:
+            raise ParseFailure(f"attribute '{attr}' of <{element.tag}> must hold {count} "
+                               f"numbers, got {len(parts)}", element.line, element.column)
+        try:
+            values = tuple(map(float, parts))
+        except ValueError:
+            raise ParseFailure(f"attribute '{attr}' of <{element.tag}> is not numeric: {raw!r}",
+                               element.line, element.column) from None
+        if not all(map(math.isfinite, values)):
+            self.notice(element, f"attribute '{attr}' holds a non-finite value")
+        return values[0] if count == 1 else values
+
+    def required(self, element: _XmlElement, arities: dict[str, int]) -> list | None:
+        """The values of every attribute in ``arities``, in order, read with
+        ``floats``.  When any is absent, nothing is read: one notice names
+        the missing ones and the result is None."""
+        missing = [attr for attr in arities if attr not in element.attrib]
+        if missing:
+            self.notice(element, f"<{element.tag}> is missing {', '.join(missing)}; skipped")
+            return None
+        return [self.floats(element, attr, count) for attr, count in arities.items()]
+
+    def pose(self, element: _XmlElement | None) -> Pose:
+        return Pose(self.floats(element, "xyz", 3, ZERO3), self.floats(element, "rpy", 3, ZERO3))
+
+    def geometry(self, parent: _XmlElement) -> Geometry | None:
+        geom = parent.find("geometry")
+        if geom is None:
+            self.notice(parent, f"<{parent.tag}> has no <geometry> child; skipped")
+            return None
+        for shape in geom.children:
+            if shape.tag in _SHAPES:
+                cls, arities = _SHAPES[shape.tag]
+                values = self.required(shape, arities)
+                if values is None:
+                    return None
+                if any(v <= 0 for value in values
+                       for v in (value if isinstance(value, tuple) else (value,))):
+                    self.notice(shape, f"<{shape.tag}> has a non-positive dimension")
+                return cls(*values)
+            if shape.tag == "mesh":
+                uri = shape.attrib.get("filename", "")
+                if not uri:
+                    self.notice(shape, "<mesh> has no filename; skipped")
+                    return None
+                return Mesh(uri, self.floats(shape, "scale", 3, (1.0, 1.0, 1.0)))
+            self.notice(shape, f"unknown geometry shape <{shape.tag}>")
+        self.notice(geom, "<geometry> holds no recognized shape; skipped")
+        return None
+
+    def material(self, element: _XmlElement) -> Material:
+        name = element.attrib.get("name", "")
+        rgba = self.floats(element.find("color"), "rgba", 4)
+        tex = element.find("texture")
+        texture = tex.attrib.get("filename") if tex is not None else None
+        material = Material(name, rgba, texture)
+        if name and material.defines_appearance:
+            self.materials.append(material)
+        return material
+
+    def inertial(self, element: _XmlElement) -> Inertial | None:
+        mass_el = element.find("mass")
+        inertia_el = element.find("inertia")
+        if mass_el is None or "value" not in mass_el.attrib:
+            self.notice(element, "<inertial> lacks a mass value; skipped")
+            return None
+        if inertia_el is None:
+            self.notice(element, "<inertial> lacks an <inertia> element; skipped")
+            return None
+        moments = self.required(inertia_el, _INERTIA)
+        if moments is None:
+            return None
+        mass = self.floats(mass_el, "value", 1)
+        if mass < 0:
+            self.notice(mass_el, "negative mass")
+        return Inertial(self.pose(element.find("origin")), mass, tuple(moments))
+
+    def link(self, element: _XmlElement) -> Link:
+        name = element.attrib.get("name", "")
+        inertial = None
+        visuals: list[Visual] = []
+        collisions: list[Collision] = []
+        for child in element.children:
+            if child.tag == "inertial":
+                if inertial is None:
+                    inertial = self.inertial(child)
+                else:
+                    self.notice(child, "extra <inertial> ignored")
+            elif child.tag == "visual":
+                geometry = self.geometry(child)
+                if geometry is None:
+                    continue
+                material_el = child.find("material")
+                material_name = None
+                if material_el is not None:
+                    material_name = material_el.attrib.get("name") or None
+                    self.material(material_el)
+                visuals.append(
+                    Visual(self.pose(child.find("origin")), geometry, material_name,
+                           child.line, child.column)
+                )
+            elif child.tag == "collision":
+                geometry = self.geometry(child)
+                if geometry is None:
+                    continue
+                collisions.append(Collision(self.pose(child.find("origin")), geometry))
+            elif child.tag not in _UNMODELED:
+                self.notice(child, f"unknown element <{child.tag}> in <link>")
+        return Link(name, inertial, tuple(visuals), tuple(collisions),
+                    element.line, element.column)
+
+    def joint_limit(self, element: _XmlElement | None) -> JointLimit | None:
+        if element is None:
+            return None
+        values = {attr: self.floats(element, attr, 1) for attr in _LIMIT_BOUNDS}
+        if (values["lower"] is not None and values["upper"] is not None
+                and values["lower"] > values["upper"]):
+            self.notice(element, "limit lower bound exceeds upper bound")
+        return JointLimit(**values)
+
+    def joint(self, element: _XmlElement) -> Joint:
+        name = element.attrib.get("name", "")
+        type_name = element.attrib.get("type", "")
+        try:
+            kind = JointKind(type_name)
+        except ValueError:
+            kind = None
+            self.notice(element, f"joint '{name}' has unrecognized type {type_name!r}")
+        parent_el, child_el = element.find("parent"), element.find("child")
+        parent = parent_el.attrib.get("link", "") if parent_el is not None else ""
+        child_link = child_el.attrib.get("link", "") if child_el is not None else ""
+        axis = self.floats(element.find("axis"), "xyz", 3, DEFAULT_AXIS)
+        for sub in element.children:
+            if sub.tag not in _JOINT_CHILDREN:
+                self.notice(sub, f"unknown element <{sub.tag}> in <joint>")
+        return Joint(
+            name=name,
+            kind=kind,
+            type_name=type_name,
+            parent=parent,
+            child=child_link,
+            origin=self.pose(element.find("origin")),
+            axis=axis,
+            limit=self.joint_limit(element.find("limit")),
+            line=element.line,
+            column=element.column,
+        )
+
+    def robot(self, root: _XmlElement) -> RobotModel:
+        links: list[Link] = []
+        joints: list[Joint] = []
+        for child in root.children:
+            if child.tag == "link":
+                links.append(self.link(child))
+            elif child.tag == "joint":
+                joints.append(self.joint(child))
+            elif child.tag == "material":
+                self.material(child)
+            elif child.tag not in _UNMODELED:
+                self.notice(child, f"unknown element <{child.tag}> in <robot>")
+        for attr in root.attrib:
+            if attr != "name" and not attr.startswith("xmlns"):
+                self.notices.append(
+                    ParseNotice("robot", f"unknown attribute {attr!r} on <robot>",
+                                root.line, root.column)
+                )
+        return RobotModel(
+            name=root.attrib.get("name", ""),
+            links=tuple(links),
+            joints=tuple(joints),
+            materials=tuple(self.materials),
+            notices=tuple(self.notices),
+            line=root.line,
+            column=root.column,
+        )
+
+
+def oracle_parse_urdf(xml_text: str | bytes) -> RobotModel:
+    """parse_urdf by the two-pass route: expat builds an element tree of the
+    whole document, then a second walk over that tree builds the model.
+    Every XML error therefore wins over every URDF failure, and failures
+    and notices come in the walk's order."""
+    text = _decode(xml_text)
+    root = _read_document(text)
+    if root.tag != "robot":
+        raise ParseFailure(f"root element is <{root.tag}>, expected <robot>", root.line, root.column)
+    return _Parser().robot(root)

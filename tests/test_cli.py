@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import urdf_inspect
-from urdf_inspect import cli, report
+from urdf_inspect import bundles, cli, report
 from urdf_inspect.cli import run_cli
 from urdf_inspect.model import RobotModel
 
@@ -430,7 +430,7 @@ def _live_models() -> int:
 
 def test_only_multiply_defined_members_keep_model_and_text(small_corpus):
     before = _live_models()
-    corpus = cli._load_corpus(small_corpus)
+    corpus = cli._load_corpus(small_corpus, facts=True)
     assert _live_models() - before == 2
     assert list(corpus.groups) == [("acme", "planar")]
     assert {e.rel_file: (e.model is not None, e.text is not None) for e in corpus.entries} == {
@@ -440,6 +440,23 @@ def test_only_multiply_defined_members_keep_model_and_text(small_corpus):
         "beta/rover_description": (False, False),
     }
     assert all(e.size is not None and e.contact is not None for e in corpus.entries)
+
+
+@pytest.mark.parametrize("command,takes_facts", [
+    ("scan", True), ("stats", True), ("compare", False), ("dupes", False)])
+def test_only_scan_and_stats_take_bundle_facts(small_corpus, tmp_path, monkeypatch,
+                                               command, takes_facts):
+    facts = []
+    for name in ("detect_xacro_generated", "contact_markers", "mesh_inventory",
+                 "name_substring_stats"):
+        fn = getattr(bundles, name)
+        monkeypatch.setattr(bundles, name, lambda *a, fn=fn, name=name: facts.append(name) or fn(*a))
+    parsed = []
+    validate = cli.validate
+    monkeypatch.setattr(cli, "validate", lambda raw: parsed.append(raw) or validate(raw))
+    assert run_cli(["--out", str(tmp_path / "out"), command, str(small_corpus)]) == 0
+    assert len(parsed) == 4  # every bundle is parsed under every command
+    assert bool(facts) is takes_facts
 
 
 def _graph_urdf(name: str, links: str, joints: list[tuple[str, str]]) -> str:

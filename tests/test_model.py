@@ -1,7 +1,7 @@
 import gc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from urdf_inspect.model import (
     Box,
@@ -15,7 +15,7 @@ from urdf_inspect.model import (
     parse_urdf,
 )
 
-from oracles import oracle_line_count
+from oracles import oracle_line_count, oracle_parse_urdf
 
 
 class TestParseListing1:
@@ -46,10 +46,30 @@ class TestParseListing1:
         assert parse_urdf(listing1).notices == ()
 
 
+def outcome(parse, text):
+    """A model's repr, or a failure's message and position."""
+    try:
+        return repr(parse(text))
+    except ParseFailure as failure:
+        return failure.message, failure.line, failure.column
+
+
 def test_parse_leaves_no_cyclic_garbage(listing1):
     gc.collect()
     parse_urdf(listing1)
-    assert gc.collect() == 0  # the document tree was freed by reference counting
+    assert gc.collect() == 0  # the parser and its handlers were freed by reference counting
+
+
+@pytest.mark.parametrize("text", [
+    '<robot name="x"><link>',
+    '<robot name="r"><link name="a"><visual><origin xyz="1 2"/>'
+    '<geometry><sphere radius="1"/></geometry></visual></link></robot>',
+    "<model><link name='a'/></model>",
+], ids=["xml_error", "held_failure", "non_robot_root"])
+def test_failed_parse_leaves_no_cyclic_garbage(text):
+    gc.collect()
+    assert isinstance(outcome(parse_urdf, text), tuple)  # a failure's message and position
+    assert gc.collect() == 0
 
 
 def test_minimal_robot():
@@ -334,6 +354,11 @@ class TestNumericAttribute:
                 if n.message == f"attribute '{attr}' holds a non-finite value"] == [self.line(key)]
 
 
+def test_non_finite_value_noticed_at_every_occurrence():
+    text = numeric_doc("xyz", "inf 0 0").replace('<axis xyz="0 0 1"/>', '<axis xyz="inf 0 0"/>')
+    assert [n.subject for n in parse_urdf(text).notices] == ["axis", "origin"]
+
+
 def test_inertia_with_missing_moment_is_skipped_before_any_read():
     model = parse_urdf(numeric_doc("ixy", None).replace('ixx="1"', 'ixx="oops"'))
     assert model.links[0].inertial is None
@@ -370,6 +395,146 @@ def test_parse_never_aborts_on_arbitrary_input(data):
         parse_urdf(data)
     except ParseFailure:
         pass
+
+
+class TestPrecedence:
+    """An XML error anywhere wins over a URDF failure; of repeated children,
+    the first is read."""
+
+    def test_xml_error_after_bad_arity_wins(self):
+        text = ('<robot name="r">\n<link name="a">\n<visual><origin xyz="1 2"/>'
+                '<geometry><sphere radius="1"/></geometry></visual>\n</link>\n'
+                '<link name="b">\n</robot>')
+        assert outcome(parse_urdf, text) == ("mismatched tag: line 6, column 2", 6, 2)
+
+    def test_xml_error_after_non_robot_root_wins(self):
+        text = '<model>\n<link name="a"/>\n<link>\n</model>'
+        assert outcome(parse_urdf, text) == ("mismatched tag: line 4, column 2", 4, 2)
+
+    def test_first_failure_in_document_order_wins(self):
+        text = ('<robot name="r">\n<joint name="j" type="fixed"><origin xyz="1"/></joint>\n'
+                '<link name="a"><visual><geometry><box size="1"/></geometry></visual></link>\n'
+                '</robot>')
+        assert outcome(parse_urdf, text) == (
+            "attribute 'xyz' of <origin> must hold 3 numbers, got 1", 2, 29)
+
+    def visual(self, children):
+        model = parse_urdf(f'<robot name="r"><link name="a"><visual>{children}</visual></link>'
+                           '<material name="steel"><color rgba="1 1 1 1"/></material></robot>')
+        return model, model.links[0].visuals[0]
+
+    def test_second_origin_ignored(self):
+        _, visual = self.visual('<origin xyz="0 0 1"/><origin xyz="1 2"/>'
+                                '<geometry><sphere radius="1"/></geometry>')
+        assert visual.origin.xyz == (0.0, 0.0, 1.0)
+
+    def test_second_geometry_ignored(self):
+        _, visual = self.visual('<geometry><sphere radius="1"/></geometry>'
+                                '<geometry><box size="x"/></geometry>')
+        assert visual.geometry == Sphere(1.0)
+
+    def test_second_material_ignored(self):
+        model, visual = self.visual('<geometry><sphere radius="1"/></geometry>'
+                                    '<material name="paint"><color rgba="1 0 0 1"/></material>'
+                                    '<material name="ink"><color rgba="x"/></material>')
+        assert visual.material_name == "paint"
+        assert [m.name for m in model.materials] == ["paint", "steel"]
+
+    INERTIAL = '<inertial><mass value="{}"/><inertia {}/></inertial>'
+    MOMENTS = 'ixx="1" ixy="0" ixz="0" iyy="1" iyz="0" izz="1"'
+
+    def test_second_inertial_read_when_first_skipped(self):
+        model = parse_urdf('<robot name="r"><link name="a">'
+                           + self.INERTIAL.format(1, 'ixx="1"')
+                           + self.INERTIAL.format(2, self.MOMENTS) + '</link></robot>')
+        assert model.links[0].inertial.mass == 2.0
+        assert [n.message for n in model.notices] == [
+            "<inertia> is missing ixy, ixz, iyy, iyz, izz; skipped"]
+
+    def test_second_inertial_noticed_when_first_read(self):
+        model = parse_urdf('<robot name="r"><link name="a">'
+                           + self.INERTIAL.format(1, self.MOMENTS)
+                           + '\n' + self.INERTIAL.format("x", 'ixx="y"') + '</link></robot>')
+        assert model.links[0].inertial.mass == 1.0
+        assert [(n.message, n.line) for n in model.notices] == [("extra <inertial> ignored", 2)]
+
+
+# The URDF vocabulary: the children an element holds, in the usual order,
+# and the attributes it may carry.  Any element may also hold duplicates
+# and elements that are unmodeled ("gazebo"), unknown ("vendor") or out of
+# place ("link" in a <joint>), each with a subtree of its own.
+CHILDREN = {
+    "link": ["inertial", "visual", "collision"],
+    "inertial": ["origin", "mass", "inertia"],
+    "visual": ["origin", "geometry", "material"],
+    "collision": ["origin", "geometry"],
+    "material": ["color", "texture"],
+    "joint": ["parent", "child", "origin", "axis", "limit"],
+}
+ROBOT_CHILDREN = ["link", "link", "joint", "joint", "material", "gazebo", "vendor"]
+SHAPES = ["box", "cylinder", "sphere", "mesh", "vendor"]
+ODD = ["vendor", "xacro:macro", "gazebo", "mimic", "link", "origin", "geometry", "material"]
+NAMES = ["a", "b", "c", ""]
+TEXT_ATTRS = {
+    "name": st.sampled_from(NAMES), "link": st.sampled_from(NAMES),
+    "type": st.sampled_from([k.value for k in JointKind] + ["helical", ""]),
+    "filename": st.sampled_from(["m.stl", "package://p/m.DAE", ""]),
+    "version": st.just("1.0"), "xmlns:xacro": st.just("http://ros.org/wiki/xacro"),
+}
+ARITIES = {"xyz": 3, "rpy": 3, "size": 3, "scale": 3, "rgba": 4,
+           **dict.fromkeys(["radius", "length", "value", "ixx", "ixy", "ixz", "iyy", "iyz",
+                            "izz", "lower", "upper", "effort", "velocity"], 1)}
+ATTRIBUTES = {
+    "robot": ["name", "version", "xmlns:xacro"], "link": ["name"],
+    "joint": ["name", "type"], "material": ["name"], "texture": ["filename"],
+    "mesh": ["filename", "scale"], "parent": ["link"], "child": ["link"],
+    "origin": ["xyz", "rpy"], "axis": ["xyz"], "limit": ["lower", "upper", "effort", "velocity"],
+    "box": ["size"], "cylinder": ["radius", "length"], "sphere": ["radius"], "mass": ["value"],
+    "inertia": ["ixx", "ixy", "ixz", "iyy", "iyz", "izz"], "color": ["rgba"],
+}
+FINITE = st.sampled_from(["0", "1", "-1", "0.5", "2e-3", " 3 "])
+ANY_NUMBER = st.sampled_from(["1", "-2", "nan", "inf", "-inf", "x", "1,2"])
+
+
+def numbers(count):
+    """Mostly ``count`` finite numbers; else a wrong arity, a non-number,
+    nan or inf."""
+    good = st.lists(FINITE, min_size=count, max_size=count)
+    odd = st.lists(ANY_NUMBER, min_size=max(count - 1, 0), max_size=count + 1)
+    return st.integers(0, 15).flatmap(lambda roll: odd if roll == 0 else good).map(" ".join)
+
+
+@st.composite
+def urdf_documents(draw):
+    """A URDF document, sometimes with a root other than <robot>, and
+    sometimes truncated."""
+    def element(tag, depth):
+        attrs = "".join(
+            f' {attr}="{draw(TEXT_ATTRS[attr] if attr in TEXT_ATTRS else numbers(ARITIES[attr]))}"'
+            for attr in ATTRIBUTES.get(tag, []) if draw(st.integers(0, 9)))
+        if tag == "robot":
+            kids = draw(st.lists(st.sampled_from(ROBOT_CHILDREN), max_size=6))
+        elif tag == "geometry":
+            kids = draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=2))
+        else:  # each usual child, mostly
+            kids = [kid for kid in CHILDREN.get(tag, []) if draw(st.integers(0, 4))]
+        if depth < 5:
+            for odd in draw(st.lists(st.sampled_from(CHILDREN.get(tag, []) + ODD), max_size=1)):
+                kids.insert(draw(st.integers(0, len(kids))), odd)
+        inner = "".join(element(kid, depth + 1) for kid in kids)
+        sep = draw(st.sampled_from(["", "\n"]))
+        return f"<{tag}{attrs}>{sep}{inner}</{tag}>{sep}" if inner else f"<{tag}{attrs}/>{sep}"
+
+    text = element(draw(st.sampled_from(["robot"] * 9 + ["model"])), 0)
+    if draw(st.integers(0, 7)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(urdf_documents())
+def test_one_pass_matches_tree_walk(text):
+    assert outcome(parse_urdf, text) == outcome(oracle_parse_urdf, text)
 
 
 class TestLineCount:
