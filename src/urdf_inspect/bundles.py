@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .model import _LINE_BREAK, Mesh, RobotModel
+from .model import Mesh, RobotModel
 
 __all__ = [
     "BundleRecord",
@@ -285,6 +285,7 @@ def classify_structure(bundle_dir: Path | str,
 # --------------------------------------------------------------------------
 
 _COMMENT = re.compile(r"<!--(.*?)(?:-->|\Z)", re.DOTALL)
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")  # the line breaks of model.line_count
 
 
 def detect_xacro_generated(urdf_text: str) -> bool:

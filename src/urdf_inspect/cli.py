@@ -11,9 +11,10 @@ Subcommands:
 The corpus commands read and parse every bundle's URDF once and keep
 only the facts the tables read of it: its diagnostics and, under scan
 and stats, its xacro banner, contact markers, mesh inventory, name-term
-counts and link and joint counts.  The parsed model and decoded text
-stay in memory only for the members of multiply defined robots, which
-the discrepancy comparison reads again.
+counts and link and joint counts.  Under scan and compare, each multiply
+defined robot is compared as soon as its members are loaded and only its
+row is kept, so no parsed model outlives its group; stats and dupes do
+not group.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage error,
 3 I/O failure.
@@ -79,11 +80,11 @@ def run_cli(argv: list[str]) -> int:
             return _cmd_validate(args)
         if args.command == "inspect":
             return _cmd_inspect(args)
-        corpus = _load_corpus(args.root, facts=args.command in ("scan", "stats"))
+        corpus = _load_corpus(args)
         if args.command == "scan":
-            tables = _corpus_tables(args, corpus)
+            tables = _corpus_tables(corpus)
         elif args.command == "compare":
-            tables = [_discrepancies(args, corpus)]
+            tables = [report.discrepancies_table(corpus.discrepancies)]
         elif args.command == "dupes":
             tables = _dupes_tables(corpus)
         else:  # stats lists scan's last four tables in reverse
@@ -118,8 +119,6 @@ class _Entry:
     meshes: MeshInventory | None = None  # the model facts: None when no model was validated
     name_terms: dict[str, int] | None = None
     size: tuple[int, int] | None = None  # (links, joints)
-    text: str | None = None  # kept for members of multiply defined robots only
-    model: RobotModel | None = None  # likewise
 
     @property
     def rel_file(self) -> str:
@@ -129,8 +128,8 @@ class _Entry:
 @dataclass
 class _Corpus:
     root: Path
-    groups: dict[compare.RobotKey, list[BundleRecord]]  # the multiply defined robots
     entries: list[_Entry]
+    discrepancies: list[tuple[str, str, str, compare.DiscrepancyReport]]  # sorted rows, if compared
     unlistable: list[OSError]  # from every walk, repeats included
 
 
@@ -152,18 +151,17 @@ def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnost
     return raw, result.model, diags
 
 
-def _load_entry(record: BundleRecord, keep: bool, facts: bool) -> _Entry:
-    """Analyze one bundle's URDF and reduce the result to its entry; the
-    table facts are taken only when ``facts``, and the model and text stay
-    on it only when ``keep``."""
+def _load_entry(record: BundleRecord, facts: bool,
+                decode: bool = False) -> tuple[_Entry, RobotModel | None, str | None]:
+    """Analyze one bundle's URDF into its entry, model and text; the table
+    facts are taken only when ``facts``, the text decoded only when
+    ``facts or decode``."""
     raw, model, diags = None, None, []
     urdf = record.urdf_file
     if record.urdf_path != Path() and urdf.exists():
         raw, model, diags = _analyze(urdf)
     entry = _Entry(record, diags)
-    text = raw.decode("utf-8", errors="replace") if raw is not None and (keep or facts) else None
-    if keep:
-        entry.text, entry.model = text, model
+    text = raw.decode("utf-8", errors="replace") if raw is not None and (facts or decode) else None
     if facts and text is not None:
         entry.xacro_banner = bundles.detect_xacro_generated(text)
         entry.contact = bundles.contact_markers(text)
@@ -171,19 +169,33 @@ def _load_entry(record: BundleRecord, keep: bool, facts: bool) -> _Entry:
         entry.meshes = bundles.mesh_inventory(model)
         entry.name_terms = bundles.name_substring_stats(model, bundles.NAME_TERMS)
         entry.size = (len(model.links), len(model.joints))
-    return entry
+    return entry, model, text
 
 
-def _load_corpus(root: Path, facts: bool) -> _Corpus:
-    """Every bundle, each URDF parsed once; the per-bundle table facts are
-    taken only when ``facts`` (``scan`` and ``stats`` read them)."""
-    corpus_root = bundles._corpus_root(root)
+def _load_corpus(args: argparse.Namespace) -> _Corpus:
+    """Every bundle under ``args.root``, each URDF parsed once; the table
+    facts are taken only under scan and stats.  Under scan and compare the
+    multiply defined robots load and are compared first, one at a time."""
+    facts = args.command in ("scan", "stats")
     unlistable: list[OSError] = []
-    records = bundles.scan_corpus(root, unlistable)
-    groups = compare.find_multiply_defined(records)
-    members = {id(r) for group in groups.values() for r in group}
-    entries = [_load_entry(r, id(r) in members, facts) for r in records]
-    return _Corpus(corpus_root, groups, entries, unlistable)
+    records = bundles.scan_corpus(args.root, unlistable)
+    members: dict[int, _Entry] = {}  # by id of their record
+    groups = compare.find_multiply_defined(records) if args.command in ("scan", "compare") else {}
+    rows = sorted((_compare(args, group, facts, members) for group in groups.values()),
+                  key=lambda row: row[:2])  # by robot name, then manufacturer
+    entries = [members.pop(id(r), None) or _load_entry(r, facts)[0] for r in records]
+    return _Corpus(bundles._corpus_root(args.root), entries, rows, unlistable)
+
+
+def _compare(args: argparse.Namespace, group: list[BundleRecord], facts: bool,
+             members: dict[int, _Entry]) -> tuple[str, str, str, compare.DiscrepancyReport]:
+    """Load and compare one robot's members, adding their entries to
+    ``members``; the discrepancies row is all that outlives the call."""
+    loaded = [_load_entry(record, facts, decode=True) for record in group]
+    members.update((id(entry.record), entry) for entry, _, _ in loaded)
+    rep = compare.compare_group([(entry.record, model, text) for entry, model, text in loaded],
+                                fk_samples=args.fk_samples, fk_seed=args.seed, fk_tol=args.fk_tol)
+    return group[0].robot_name, group[0].manufacturer, group[0].robot_type, rep
 
 
 # --------------------------------------------------------------------------
@@ -226,7 +238,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _corpus_tables(args: argparse.Namespace, corpus: _Corpus) -> list[report.ReportTable]:
+def _corpus_tables(corpus: _Corpus) -> list[report.ReportTable]:
     structure_rows = [(e.record.source_name,
                        bundles.classify_structure(e.record.root_dir, corpus.unlistable))
                       for e in corpus.entries]
@@ -240,7 +252,7 @@ def _corpus_tables(args: argparse.Namespace, corpus: _Corpus) -> list[report.Rep
         report.parsing_errors_table(diag_rows),
         report.mesh_types_table(mesh_rows),
         *_dupes_tables(corpus),
-        _discrepancies(args, corpus),
+        report.discrepancies_table(corpus.discrepancies),
         *_stats_tables(corpus),
     ]
 
@@ -268,19 +280,6 @@ def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
         print(f"warning: skipped unreadable {path}: {exc}", file=sys.stderr)
     return [report.duplicates_table(corpus.root, groups),
             report.duplicates_cross_source_table(corpus.root, groups)]
-
-
-def _discrepancies(args: argparse.Namespace, corpus: _Corpus) -> report.ReportTable:
-    entry_of = {id(e.record): e for e in corpus.entries}
-    rows = []
-    for records in corpus.groups.values():
-        entries = [entry_of[id(r)] for r in records]
-        rep = compare.compare_group([(e.record, e.model, e.text) for e in entries],
-                                    fk_samples=args.fk_samples, fk_seed=args.seed, fk_tol=args.fk_tol)
-        lead = records[0]
-        rows.append((lead.robot_name, lead.manufacturer, lead.robot_type, rep))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return report.discrepancies_table(rows)
 
 
 def _emit_tables(args: argparse.Namespace, tables: list[report.ReportTable]) -> None:

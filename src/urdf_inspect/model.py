@@ -15,7 +15,6 @@ while expat reads on: malformed XML anywhere in the document wins.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from xml.parsers import expat
@@ -211,21 +210,14 @@ class RobotModel:
         return [joint.name for joint in self.joints]
 
 
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")
-
-
 def line_count(raw_text: str) -> int:
     """Number of lines, counting a trailing partial line as one line.
 
     Line breaks are LF, CR or CRLF; other control characters do not
     terminate a line.
     """
-    if not raw_text:
-        return 0
-    pieces = _LINE_BREAK.split(raw_text)
-    if pieces[-1] == "":
-        pieces.pop()
-    return len(pieces)
+    breaks = raw_text.count("\n") + raw_text.count("\r") - raw_text.count("\r\n")
+    return breaks + (1 if raw_text and not raw_text.endswith(("\n", "\r")) else 0)
 
 
 # --------------------------------------------------------------------------

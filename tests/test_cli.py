@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import urdf_inspect
-from urdf_inspect import bundles, cli, report
+from urdf_inspect import bundles, cli, compare, report
 from urdf_inspect.cli import run_cli
 from urdf_inspect.model import RobotModel
 
@@ -428,17 +428,27 @@ def _live_models() -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is RobotModel)
 
 
-def test_only_multiply_defined_members_keep_model_and_text(small_corpus):
+def test_no_model_outlives_its_group(small_corpus, monkeypatch):
+    # a second multiply defined robot, so one group's models could outlive it into the next
+    write_bundle(small_corpus / "alpha", "rover_description", simple_urdf("rover"),
+                 robot_name="rover", robot_type="mobile robot", manufacturer="Bolt")
     before = _live_models()
-    corpus = cli._load_corpus(small_corpus, facts=True)
-    assert _live_models() - before == 2
-    assert list(corpus.groups) == [("acme", "planar")]
-    assert {e.rel_file: (e.model is not None, e.text is not None) for e in corpus.entries} == {
-        "alpha/gripper_description": (False, False),
-        "alpha/planar_description": (True, True),
-        "beta/planar_description": (True, True),
-        "beta/rover_description": (False, False),
-    }
+    in_group = []  # (live models, members) at each comparison
+    compare_group = compare.compare_group
+
+    def counting(members, **kwargs):
+        in_group.append((_live_models() - before, len(members)))
+        return compare_group(members, **kwargs)
+
+    monkeypatch.setattr(compare, "compare_group", counting)
+    corpus = cli._load_corpus(cli._build_parser().parse_args(["scan", str(small_corpus)]))
+    assert _live_models() == before
+    assert in_group == [(2, 2), (2, 2)]
+    assert [row[:2] for row in corpus.discrepancies] == [("planar", "Acme"), ("rover", "Bolt")]
+    assert not any(hasattr(e, "model") or hasattr(e, "text") for e in corpus.entries)
+    assert [e.rel_file for e in corpus.entries] == [
+        "alpha/gripper_description", "alpha/planar_description", "alpha/rover_description",
+        "beta/planar_description", "beta/rover_description"]
     assert all(e.size is not None and e.contact is not None for e in corpus.entries)
 
 
@@ -451,12 +461,20 @@ def test_only_scan_and_stats_take_bundle_facts(small_corpus, tmp_path, monkeypat
                  "name_substring_stats"):
         fn = getattr(bundles, name)
         monkeypatch.setattr(bundles, name, lambda *a, fn=fn, name=name: facts.append(name) or fn(*a))
+    compared = []
+    for name in ("find_multiply_defined", "compare_group"):
+        fn = getattr(compare, name)
+        monkeypatch.setattr(compare, name,
+                            lambda *a, fn=fn, name=name, **kw: compared.append(name) or fn(*a, **kw))
     parsed = []
     validate = cli.validate
     monkeypatch.setattr(cli, "validate", lambda raw: parsed.append(raw) or validate(raw))
     assert run_cli(["--out", str(tmp_path / "out"), command, str(small_corpus)]) == 0
     assert len(parsed) == 4  # every bundle is parsed under every command
     assert bool(facts) is takes_facts
+    # and only scan and compare group the robots and compare them
+    compares = {"scan": True, "stats": False, "compare": True, "dupes": False}[command]
+    assert compared == (["find_multiply_defined", "compare_group"] if compares else [])
 
 
 def _graph_urdf(name: str, links: str, joints: list[tuple[str, str]]) -> str:
