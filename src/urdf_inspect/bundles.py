@@ -127,7 +127,10 @@ def _meta(data: dict, key: str, default):
 
 
 def _load_json(path: Path):
+    """The JSON value of a regular file; None when there is none to read."""
     try:
+        if not path.is_file():  # a directory, or a named pipe that would block the read
+            return None
         return json.loads(path.read_text(encoding="utf-8", errors="replace"))
     except (OSError, json.JSONDecodeError):
         return None

@@ -23,6 +23,8 @@ Exit codes: 0 success, 1 validation errors found, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import math
+import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +42,18 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+def _at_least(kind: type, low: int):
+    """An argparse type: a finite ``kind`` value of ``low`` or more."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:  # false for nan
+            raise argparse.ArgumentTypeError(
+                f"expected a finite value of at least {low}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value" errors
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="urdf-inspect",
@@ -49,11 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="table output format (default: csv)")
     parser.add_argument("--out", type=Path, default=None, metavar="DIR",
                         help="write one file per table into DIR instead of stdout")
-    parser.add_argument("--fk-samples", type=int, default=16, metavar="N",
+    parser.add_argument("--fk-samples", type=_at_least(int, 1), default=16, metavar="N",
                         help="joint configurations sampled per FK comparison")
-    parser.add_argument("--fk-tol", type=float, default=1e-6, metavar="X",
+    parser.add_argument("--fk-tol", type=_at_least(float, 0), default=1e-6, metavar="X",
                         help="FK equality tolerance in meters/radians")
-    parser.add_argument("--seed", type=int, default=0, metavar="S",
+    parser.add_argument("--seed", type=_at_least(int, 0), default=0, metavar="S",
                         help="seed for FK configuration sampling")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,6 +90,9 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
+        if args.command in ("validate", "inspect") and not args.path.exists():
+            print(f"error: {args.path} does not exist", file=sys.stderr)
+            return EXIT_IO
         if args.command == "validate":
             return _cmd_validate(args)
         if args.command == "inspect":
@@ -137,9 +154,14 @@ def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnost
     """Read, validate and sanity-check one URDF file.
 
     Returns (bytes, model, diagnostics); a file that cannot be read has
-    no bytes and no model, and one F diagnostic saying why.
+    no bytes and no model, and one F diagnostic saying why.  Only a
+    regular file is read (a directory fails in the read), so a named
+    pipe cannot block the run.
     """
     try:
+        mode = path.stat().st_mode
+        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise OSError("not a regular file")
         raw = path.read_bytes()
     except OSError as exc:
         reason = exc.strerror or str(exc)
@@ -205,9 +227,6 @@ def _compare(args: argparse.Namespace, group: list[BundleRecord], facts: bool,
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     path: Path = args.path
-    if not path.exists():
-        print(f"error: {path} does not exist", file=sys.stderr)
-        return EXIT_IO
     # a path named *.urdf is one file, as in the tree walk, even if it is a directory
     walk = path.is_dir() and not path.match("*.urdf")
     files = bundles._walk(path, "*.urdf") if walk else [path]
@@ -226,9 +245,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     path: Path = args.path
-    if not path.exists():
-        print(f"error: {path} does not exist", file=sys.stderr)
-        return EXIT_IO
     _, model, diags = _analyze(path)
     if model is None:
         _emit_tables(args, [report.parsing_errors_table([(path.name, d) for d in diags])])

@@ -67,7 +67,6 @@ class DiscrepancyReport:
     diff_cad_types: bool
     diff_fk: bool | None
     diff_lines: bool
-    incomparable_members: tuple[str, ...] = ()
 
     @property
     def any(self) -> bool:
@@ -141,6 +140,4 @@ def compare_group(bundles: list[tuple[BundleRecord, RobotModel | None, str | Non
                                  for s, inv in inventories]),
         diff_fk=diff_fk,
         diff_lines=_differs(lines),
-        incomparable_members=tuple(f"{r.source_name}:{r.id or r.urdf_path}"
-                                   for r, model, _ in bundles if model is None),
     )

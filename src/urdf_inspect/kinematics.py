@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .model import Joint, JointKind, Pose, RobotModel
+from .model import Joint, JointKind, RobotModel
 
 __all__ = [
     "Transform",
@@ -73,23 +73,6 @@ class Transform:
 
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,)
-
-    @staticmethod
-    def identity() -> "Transform":
-        import numpy as np
-        return Transform(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def from_pose(pose: Pose) -> "Transform":
-        import numpy as np
-        return Transform(_rpy_matrix(pose.rpy), np.asarray(pose.xyz, dtype=float))
-
-    def compose(self, other: "Transform") -> "Transform":
-        return Transform(self.rotation @ other.rotation,
-                         self.rotation @ other.translation + self.translation)
-
-    def __matmul__(self, other: "Transform") -> "Transform":
-        return self.compose(other)
 
 
 @dataclass(frozen=True)
@@ -264,18 +247,11 @@ def forward_kinematics(tree: KinematicTree, model: RobotModel,
 
 
 @dataclass(frozen=True)
-class FkSample:
-    config: tuple[float, ...]
-    translation_deviation: float
-    rotation_deviation: float
-
-
-@dataclass(frozen=True)
 class FkComparison:
     equal: bool
     worst_deviation: float  # meters, over all samples and leaves
     worst_rotation: float  # radians
-    samples: tuple[FkSample, ...] = ()
+    samples: tuple[tuple[float, ...], ...] = ()  # the sampled configurations of ``actuated``
 
 
 def _sample_range(joint: Joint) -> tuple[float, float]:
@@ -339,10 +315,7 @@ def fk_equivalent(tree_a: KinematicTree, model_a: RobotModel,
 
     rot_a, trans_a = leaf_frames(tree_a, leaves_a)
     rot_b, trans_b = leaf_frames(tree_b, leaves_b)
-    dev_t = np.linalg.norm(trans_a - trans_b, axis=-1).max(axis=1)
-    dev_r = _rotation_angle(rot_a, rot_b).max(axis=1)
-    worst_t, worst_r = float(dev_t.max()), float(dev_r.max())
+    worst_t = float(np.linalg.norm(trans_a - trans_b, axis=-1).max())
+    worst_r = float(_rotation_angle(rot_a, rot_b).max())
     return FkComparison(equal=worst_t <= tol and worst_r <= tol,
-                        worst_deviation=worst_t, worst_rotation=worst_r,
-                        samples=tuple(FkSample(config, float(t), float(r))
-                                      for config, t, r in zip(configs, dev_t, dev_r)))
+                        worst_deviation=worst_t, worst_rotation=worst_r, samples=tuple(configs))

@@ -52,11 +52,9 @@ class ParseFailure(Exception):
 
     Covers malformed XML, unsupported encodings, a root element other
     than ``robot``, and numeric attribute lists of the wrong arity.
-    Carries taxonomy code ``F`` plus the offending position (1-based
-    line, 0-based column).
+    The validator reports it as taxonomy code ``F``, at the offending
+    position (1-based line, 0-based column).
     """
-
-    code = "F"
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         super().__init__(message)

@@ -45,10 +45,6 @@ class ValidationResult:
     model: RobotModel | None
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.error_codes()
-
     def error_codes(self) -> list[str]:
         return [d.code for d in self.diagnostics if d.severity == ERROR]
 

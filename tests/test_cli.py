@@ -406,6 +406,57 @@ class TestStatsCommand:
             assert (stats / name).read_bytes() == (scan / name).read_bytes()
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("pipe", ["alpha/planar_description/urdf/planar.urdf",
+                                  "alpha/planar_description/meta-information.json",
+                                  "alpha/source-information.json"])
+def test_named_pipe_never_blocks(small_corpus, tmp_path, pipe):
+    """No command reads a named pipe; the commands run in a child with a
+    timeout, so a read that blocks fails the test rather than hanging the suite."""
+    path = small_corpus / pipe
+    path.unlink()
+    os.mkfifo(path)
+    commands = ["scan", "stats", "compare", "dupes", "validate", "inspect"]
+    argvs = [["--out", str(tmp_path / c), c, str(path if c == "inspect" else small_corpus)]
+             for c in commands]
+    script = ("import json, sys\n"
+              "from urdf_inspect.cli import run_cli\n"
+              "print(json.dumps([run_cli(argv) for argv in json.loads(sys.argv[1])]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(urdf_inspect.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True, timeout=30)
+    is_urdf = pipe.endswith(".urdf")
+    assert json.loads(run.stdout) == [0, 0, 0, 0, 1 if is_urdf else 0, 1]
+    f_row = ["error", "F", "document", "0", "cannot read file: not a regular file"]
+    assert read_csv(tmp_path / "inspect" / "parsing_errors.csv")[1:] == [[path.name, *f_row]]
+    discrepancies = read_csv(tmp_path / "compare" / "discrepancies.csv")[1:]
+    if is_urdf:
+        assert [pipe, *f_row] in read_csv(tmp_path / "validate" / "parsing_errors.csv")
+        rows = read_csv(tmp_path / "scan" / "parsing_errors.csv")[1:]
+        assert rows and {tuple(row[1:]) for row in rows} == {tuple(f_row)}
+        assert [row[7] for row in discrepancies] == ["incomparable"]
+    elif pipe.endswith("meta-information.json"):  # the bundle names no robot
+        assert discrepancies == []
+    else:  # the source is named after its directory
+        assert [row[3] for row in discrepancies] == ["alpha;beta"]
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--seed", "-1"], 2),
+    (["--seed", "1.5"], 2),
+    (["--fk-tol", "-1"], 2),
+    (["--fk-tol", "nan"], 2),
+    (["--fk-tol", "inf"], 2),
+    (["--fk-samples", "0"], 2),
+    (["--fk-samples", "-3"], 2),
+    (["--seed", "0", "--fk-tol", "0", "--fk-samples", "1"], 0),
+])
+def test_fk_flag_ranges(small_corpus, tmp_path, capsys, flags, code):
+    assert run_cli([*flags, "--out", str(tmp_path / "out"), "compare", str(small_corpus)]) == code
+    if code:
+        assert f"argument {flags[0]}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, loads_numpy", [("dupes", False), ("scan", True)])
 def test_numpy_loads_only_for_fk(small_corpus, tmp_path, command, loads_numpy):
     out = tmp_path / "reports"

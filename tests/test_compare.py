@@ -110,14 +110,12 @@ class TestCompareGroup:
         report = compare_group([bundle("a", "bot", LISTING1),
                                 bundle("b", "bot", "<robot name='x'><link>")])
         assert report.diff_fk is None
-        assert report.incomparable_members == ("b:b-bot",)
         assert report.diff_lines  # raw text still comparable
 
     def test_unread_member_gives_no_line_count(self):
         report = compare_group([bundle("a", "bot", LISTING1), bundle("b", "bot", None)])
         assert not report.diff_lines and not report.any
         assert report.diff_fk is None
-        assert report.incomparable_members == ("b:b-bot",)
 
     def test_same_source_pairs_skipped(self):
         shifted = LISTING1.replace('<origin xyz="0 0 0.5"/>', '<origin xyz="0 0 0.9"/>', 1)

@@ -9,7 +9,6 @@ from scipy.spatial.transform import Rotation
 from urdf_inspect.kinematics import (
     Incomparable,
     JointConfig,
-    Transform,
     TreeError,
     UnsupportedJoint,
     _rotation_angle,
@@ -19,7 +18,7 @@ from urdf_inspect.kinematics import (
 )
 from urdf_inspect.model import parse_urdf
 
-from oracles import chain_fk, rotation_angle
+from oracles import chain_fk, hom, pose_matrix, rotation_angle
 
 
 def chain_urdf(joints, name="chain"):
@@ -198,10 +197,11 @@ class TestForwardKinematics:
         tree = build_tree(model)
         frames = forward_kinematics(tree, model, [0.0] * len(tree.actuated))
         for name, edges in tree.children.items():
+            parent = hom(frames[name].rotation, frames[name].translation)
             for joint, child in edges:
-                expected = frames[name] @ Transform.from_pose(joint.origin)
-                assert np.allclose(frames[child].translation, expected.translation, atol=1e-12)
-                assert np.allclose(frames[child].rotation, expected.rotation, atol=1e-12)
+                expected = parent @ pose_matrix(joint.origin.xyz, joint.origin.rpy)
+                got = hom(frames[child].rotation, frames[child].translation)
+                assert np.allclose(got, expected, atol=1e-12)
 
 
 class TestFkEquivalent:
@@ -262,8 +262,9 @@ class TestFkEquivalent:
         tree = build_tree(model)
         outcome = fk_equivalent(tree, model, tree, model, samples=32)
         assert outcome.equal
-        for sample in outcome.samples:
-            assert 0.25 <= sample.config[0] <= 0.5
+        assert len(outcome.samples) == 32
+        for config in outcome.samples:
+            assert 0.25 <= config[0] <= 0.5
 
 
 NUMBER = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 3))

@@ -82,7 +82,6 @@ def test_minimal_robot():
 def test_unclosed_tag_fails():
     with pytest.raises(ParseFailure) as info:
         parse_urdf('<robot name="x"><link>')
-    assert info.value.code == "F"
     assert info.value.line >= 1
 
 
