@@ -222,9 +222,9 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
                 notices = []
                 if not rel:
                     notices.append("metadata gives no URDF location")
-                elif not (bundle_dir / rel).is_file():
+                elif not (bundle_dir / rel).exists():
                     notices.append(f"described URDF '{rel}' not found on disk")
-                else:
+                else:  # even when not a regular file: reading it then gives the F row
                     described.add((bundle_dir / rel).resolve())
                 source_records.append(_record(source, bundle_dir, Path(rel), entry, "", *notices))
 

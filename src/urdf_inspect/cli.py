@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fk-tol", type=_at_least(float, 0), default=1e-6, metavar="X",
                         help="FK equality tolerance in meters/radians")
     parser.add_argument("--seed", type=_at_least(int, 0), default=0, metavar="S",
-                        help="seed for FK configuration sampling")
+                        help="seed of the Python random generator that samples FK configurations")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", help="validate URDF files").add_argument("path", type=Path)

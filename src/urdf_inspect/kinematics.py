@@ -4,11 +4,16 @@ Frames compose root-to-leaf: child = parent * joint.origin * motion,
 where motion rotates about (revolute/continuous) or translates along
 (prismatic) the joint's unit axis.  rpy follows the extrinsic fixed-axis
 X-Y-Z convention, R = Rz(yaw) @ Ry(pitch) @ Rx(roll).
+
+The arithmetic is plain Python floats: a rotation is a row-major 9-tuple
+and a translation a 3-tuple.  Only ``forward_kinematics`` imports numpy,
+to return its frames as arrays.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -27,7 +32,7 @@ __all__ = [
     "fk_equivalent",
 ]
 
-if TYPE_CHECKING:  # numpy is imported by the functions that use it: only FK needs it
+if TYPE_CHECKING:  # numpy is imported only by forward_kinematics, to wrap its result
     import numpy as np
 
 SCALAR_KINDS = (JointKind.REVOLUTE, JointKind.CONTINUOUS, JointKind.PRISMATIC)
@@ -100,18 +105,6 @@ class JointConfig:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def _rpy_matrix(rpy: Sequence[float]) -> np.ndarray:
-    import numpy as np
-    roll, pitch, yaw = rpy
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-    ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
-    rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
-    return rz @ ry @ rx
 
 
 @dataclass(frozen=True)
@@ -189,13 +182,12 @@ def build_tree(model: RobotModel) -> KinematicTree:
     warns of, with the reason of the first warning.  The root is the
     unique link never appearing as a joint child.
     """
-    import numpy as np
     graph = _joint_graph(model)
     for joint in model.joints:
         if joint.parent not in graph.children or joint.child not in graph.children:
             raise TreeError("disconnected",
                             f"joint '{joint.name}' references an undeclared link")
-        if joint.kind in SCALAR_KINDS and not np.linalg.norm(joint.axis):
+        if joint.kind in SCALAR_KINDS and not math.hypot(*joint.axis):
             raise TreeError("zero_axis",
                             f"moving joint '{joint.name}' has a zero axis")
     if graph.problems:
@@ -207,30 +199,83 @@ def build_tree(model: RobotModel) -> KinematicTree:
                          joints=tuple(graph.joints))
 
 
-def _frames(tree: KinematicTree, q: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Rotation (S, 3, 3) and translation (S, 3) of every link, where row s
-    of ``q`` (S, len(tree.actuated)) is one configuration of ``tree.actuated``."""
-    import numpy as np
-    frames = {tree.root: (np.tile(np.eye(3), (len(q), 1, 1)), np.zeros((len(q), 3)))}
-    values = iter(q.T)
+Rotation = tuple[float, float, float, float, float, float, float, float, float]  # row-major 3x3
+Vector = tuple[float, float, float]
+Frame = tuple[Rotation, Vector]
+
+_IDENTITY: Rotation = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def _rpy(rpy: Sequence[float]) -> Rotation:
+    """Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+    roll, pitch, yaw = rpy
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    return (cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
+            sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
+            -sp, cp * sr, cp * cr)
+
+
+def _mat_mul(a: Rotation, b: Rotation) -> Rotation:
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+            a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8)
+
+
+def _mat_vec(a: Rotation, v: Sequence[float], offset: Vector = (0.0, 0.0, 0.0)) -> Vector:
+    """a @ v + offset."""
+    x, y, z = v
+    return (a[0] * x + a[1] * y + a[2] * z + offset[0],
+            a[3] * x + a[4] * y + a[5] * z + offset[1],
+            a[6] * x + a[7] * y + a[8] * z + offset[2])
+
+
+def _rodrigues(r: Rotation, rk: Rotation, rkk: Rotation, angle: float) -> Rotation:
+    """r + sin(angle) * rk + (1 - cos(angle)) * rkk."""
+    s, v = math.sin(angle), 1.0 - math.cos(angle)
+    return (r[0] + s * rk[0] + v * rkk[0], r[1] + s * rk[1] + v * rkk[1],
+            r[2] + s * rk[2] + v * rkk[2], r[3] + s * rk[3] + v * rkk[3],
+            r[4] + s * rk[4] + v * rkk[4], r[5] + s * rk[5] + v * rkk[5],
+            r[6] + s * rk[6] + v * rkk[6], r[7] + s * rk[7] + v * rkk[7],
+            r[8] + s * rk[8] + v * rkk[8])
+
+
+def _frames(tree: KinematicTree, configs: Sequence[Sequence[float]]) -> list[dict[str, Frame]]:
+    """(rotation, translation) of every link, one dict per configuration of
+    ``tree.actuated`` in ``configs``; the root frame is the identity."""
+    steps = []  # (parent, child, kind, origin rotation, origin xyz, motion terms)
     for joint in tree.joints:
         if joint.kind in (JointKind.FLOATING, JointKind.PLANAR):
             raise UnsupportedJoint(joint.name, joint.type_name)
-        base_r, base_t = frames[joint.parent]
-        rot = base_r @ _rpy_matrix(joint.origin.rpy)
-        trans = base_r @ np.asarray(joint.origin.xyz, dtype=float) + base_t
+        rot, motion = _rpy(joint.origin.rpy), ()
         if joint.kind in SCALAR_KINDS:  # fixed joints do not move
-            axis = np.asarray(joint.axis, dtype=float) / np.linalg.norm(joint.axis)
-            value = next(values)
-            if joint.kind is JointKind.PRISMATIC:
-                trans = trans + (rot @ axis) * value[:, None]
-            else:  # Rodrigues rotation about the unit axis
-                x, y, z = axis
-                k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-                angle = value[:, None, None]
-                rot = rot @ (np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k))
-        frames[joint.child] = (rot, trans)
-    return frames
+            norm = math.hypot(*joint.axis)
+            x, y, z = (a / norm for a in joint.axis)
+            if joint.kind is JointKind.PRISMATIC:  # origin xyz + value * (R0 @ axis)
+                motion = _mat_vec(rot, (x, y, z))
+            else:  # Rodrigues: R0 @ (I + sin * K + (1 - cos) * K @ K)
+                k = (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)  # the axis's cross-product matrix
+                motion = (_mat_mul(rot, k), _mat_mul(_mat_mul(rot, k), k))
+        steps.append((joint.parent, joint.child, joint.kind, rot, joint.origin.xyz, motion))
+
+    out = []
+    for config in configs:
+        frames = {tree.root: (_IDENTITY, (0.0, 0.0, 0.0))}
+        values = iter(config)
+        for parent, child, kind, rot, xyz, motion in steps:
+            base_r, base_t = frames[parent]
+            if kind is JointKind.PRISMATIC:
+                value = next(values)
+                xyz = (xyz[0] + value * motion[0], xyz[1] + value * motion[1],
+                       xyz[2] + value * motion[2])
+            elif motion:
+                rot = _rodrigues(rot, *motion, next(values))
+            frames[child] = (_mat_mul(base_r, rot), _mat_vec(base_r, xyz, base_t))
+        out.append(frames)
+    return out
 
 
 def forward_kinematics(tree: KinematicTree, model: RobotModel,
@@ -241,9 +286,10 @@ def forward_kinematics(tree: KinematicTree, model: RobotModel,
     if len(values) != len(tree.actuated):
         raise ValueError(f"configuration has {len(values)} values, "
                          f"tree has {len(tree.actuated)} actuated joints")
+    frames = _frames(tree, [tuple(map(float, values))])[0]
     import numpy as np
-    rows = np.array(values, dtype=float).reshape(1, -1)
-    return {name: Transform(rot[0], trans[0]) for name, (rot, trans) in _frames(tree, rows).items()}
+    return {name: Transform(np.array(rot).reshape(3, 3), np.array(trans))
+            for name, (rot, trans) in frames.items()}
 
 
 @dataclass(frozen=True)
@@ -264,13 +310,17 @@ def _sample_range(joint: Joint) -> tuple[float, float]:
     return -1.0, 1.0
 
 
-def _rotation_angle(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """Angle between rotations (..., 3, 3) from the chord ||ra - rb||_F =
+def _rotation_angle(ra: Rotation, rb: Rotation) -> float:
+    """Angle between two rotations from the chord ||ra - rb||_F =
     2 sqrt(2) sin(angle / 2): exactly 0 for equal frames, where the trace
     form's acos cannot resolve angles below ~1e-8."""
-    import numpy as np
-    chord = np.linalg.norm(ra - rb, axis=(-2, -1)) / (2.0 * math.sqrt(2.0))
-    return 2.0 * np.arcsin(np.minimum(1.0, chord))
+    chord = math.hypot(*(a - b for a, b in zip(ra, rb))) / (2.0 * math.sqrt(2.0))
+    return 2.0 * math.asin(min(1.0, chord))
+
+
+def _worst(values: list[float]) -> float:
+    """The largest of ``values``; nan if any is nan, so it never compares equal."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def fk_equivalent(tree_a: KinematicTree, model_a: RobotModel,
@@ -303,19 +353,13 @@ def fk_equivalent(tree_a: KinematicTree, model_a: RobotModel,
     if len(leaves_a) != len(leaves_b):
         raise Incomparable("leaf_count", f"{len(leaves_a)} vs {len(leaves_b)} leaf links")
 
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     configs = [tuple(rng.uniform(lo, hi) if hi > lo else lo for lo, hi in ranges)
                for _ in range(max(1, samples))]
-    q = np.array(configs, dtype=float).reshape(len(configs), len(ranges))
-
-    def leaf_frames(tree, leaves):  # rotations (S, leaves, 3, 3), translations (S, leaves, 3)
-        frames = _frames(tree, q)
-        return [np.stack(part, axis=1) for part in zip(*(frames[leaf] for leaf in leaves))]
-
-    rot_a, trans_a = leaf_frames(tree_a, leaves_a)
-    rot_b, trans_b = leaf_frames(tree_b, leaves_b)
-    worst_t = float(np.linalg.norm(trans_a - trans_b, axis=-1).max())
-    worst_r = float(_rotation_angle(rot_a, rot_b).max())
+    pairs = [(fa[leaf_a], fb[leaf_b])
+             for fa, fb in zip(_frames(tree_a, configs), _frames(tree_b, configs))
+             for leaf_a, leaf_b in zip(leaves_a, leaves_b)]
+    worst_t = _worst([math.dist(ta, tb) for (_, ta), (_, tb) in pairs])
+    worst_r = _worst([_rotation_angle(ra, rb) for (ra, _), (rb, _) in pairs])
     return FkComparison(equal=worst_t <= tol and worst_r <= tol,
                         worst_deviation=worst_t, worst_rotation=worst_r, samples=tuple(configs))

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the main code paths.
 
 These deliberately take different routes: forward kinematics goes
-through scipy rotations and 4x4 homogeneous matrices, duplicate
+through scipy rotations and 4x4 homogeneous matrices, the sampled FK
+comparison evaluates numpy stacks of (3, 3) matrices, duplicate
 grouping is a pairwise O(n^2) comparison with its own byte-level
 normalizer, line counting is a split-free scanner, discrepancy flags
 compare every cross-source pair of members, the joint-graph verdict
@@ -65,6 +66,66 @@ def chain_fk(joints: list[tuple[str, tuple, tuple, tuple]], q) -> list[np.ndarra
 
 def rotation_angle(ra: np.ndarray, rb: np.ndarray) -> float:
     return float(np.linalg.norm(Rotation.from_matrix(ra.T @ rb).as_rotvec()))
+
+
+def _rpy_matrix(rpy) -> np.ndarray:
+    roll, pitch, yaw = rpy
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
+    ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
+    rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
+    return rz @ ry @ rx
+
+
+def oracle_frames(tree, q: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Rotation (S, 3, 3) and translation (S, 3) of every link, where row s
+    of ``q`` (S, len(tree.actuated)) is one configuration of ``tree.actuated``."""
+    from urdf_inspect.kinematics import SCALAR_KINDS, UnsupportedJoint
+    frames = {tree.root: (np.tile(np.eye(3), (len(q), 1, 1)), np.zeros((len(q), 3)))}
+    values = iter(q.T)
+    for joint in tree.joints:
+        if joint.kind in (JointKind.FLOATING, JointKind.PLANAR):
+            raise UnsupportedJoint(joint.name, joint.type_name)
+        base_r, base_t = frames[joint.parent]
+        rot = base_r @ _rpy_matrix(joint.origin.rpy)
+        trans = base_r @ np.asarray(joint.origin.xyz, dtype=float) + base_t
+        if joint.kind in SCALAR_KINDS:  # fixed joints do not move
+            axis = np.asarray(joint.axis, dtype=float) / np.linalg.norm(joint.axis)
+            value = next(values)
+            if joint.kind is JointKind.PRISMATIC:
+                trans = trans + (rot @ axis) * value[:, None]
+            else:  # Rodrigues rotation about the unit axis
+                x, y, z = axis
+                k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+                angle = value[:, None, None]
+                rot = rot @ (np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k))
+        frames[joint.child] = (rot, trans)
+    return frames
+
+
+def oracle_rotation_angle(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Angle between rotations (..., 3, 3) from the chord ||ra - rb||_F =
+    2 sqrt(2) sin(angle / 2)."""
+    chord = np.linalg.norm(ra - rb, axis=(-2, -1)) / (2.0 * math.sqrt(2.0))
+    return 2.0 * np.arcsin(np.minimum(1.0, chord))
+
+
+def oracle_fk_deviation(tree_a, tree_b, configs) -> tuple[float, float]:
+    """(worst translation, worst rotation angle) between the paired leaf
+    frames of two trees over the sampled configurations ``configs``,
+    leaves paired by index in ``leaves()``."""
+    q = np.array(configs, dtype=float).reshape(len(configs), len(tree_a.actuated))
+
+    def leaf_frames(tree):  # rotations (S, leaves, 3, 3), translations (S, leaves, 3)
+        frames = oracle_frames(tree, q)
+        return [np.stack(part, axis=1) for part in zip(*(frames[leaf] for leaf in tree.leaves()))]
+
+    rot_a, trans_a = leaf_frames(tree_a)
+    rot_b, trans_b = leaf_frames(tree_b)
+    return (float(np.linalg.norm(trans_a - trans_b, axis=-1).max()),
+            float(oracle_rotation_angle(rot_a, rot_b).max()))
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,21 @@ class TestScanCorpus:
         assert len(records) == 1
         assert records[0].robot_name == ""
         assert records[0].notices
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_described_path_that_is_not_a_file_is_one_record(self, small_corpus, kind):
+        path = small_corpus / "alpha" / "planar_description" / "urdf" / "planar.urdf"
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+        elif hasattr(os, "mkfifo"):
+            os.mkfifo(path)
+        else:
+            pytest.skip("needs named pipes")
+        records = [r for r in scan_corpus(small_corpus) if r.source_name == "alpha"]
+        assert [(r.id, r.urdf_path.as_posix(), r.notices) for r in records] == [
+            ("gripper_description", "urdf/gripper.urdf", ()),
+            ("planar_description", "urdf/planar.urdf", ())]
 
     def test_key_aliases_tolerated(self, tmp_path):
         source = write_source(tmp_path / "corpus", "solo")

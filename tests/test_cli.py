@@ -250,6 +250,18 @@ class TestScanCommand:
         assert read_csv(out / "parsing_errors.csv")[1:] == [
             ["alpha/x.urdf", "error", "F", "document", "0", "cannot read file: Is a directory"]]
 
+    def test_described_directory_named_urdf_is_one_f_row(self, small_corpus, tmp_path):
+        path = small_corpus / "alpha" / "planar_description" / "urdf" / "planar.urdf"
+        path.unlink()
+        path.mkdir()
+        out = tmp_path / "reports"
+        assert run_cli(["--out", str(out), "scan", str(small_corpus)]) == 0
+        for table in ("structures", "xacro", "licenses"):  # one row per bundle, no orphan
+            assert sum(map(int, read_csv(out / f"{table}.csv")[-1][1:])) == 4
+        assert read_csv(out / "parsing_errors.csv")[1:] == [
+            ["alpha/planar_description", "error", "F", "document", "0",
+             "cannot read file: Is a directory"]]
+
     def test_hidden_entries_skipped_by_every_walk(self, tmp_path):
         root = tmp_path / "corpus"
         urdf = simple_urdf("r")
@@ -433,7 +445,7 @@ def test_named_pipe_never_blocks(small_corpus, tmp_path, pipe):
     if is_urdf:
         assert [pipe, *f_row] in read_csv(tmp_path / "validate" / "parsing_errors.csv")
         rows = read_csv(tmp_path / "scan" / "parsing_errors.csv")[1:]
-        assert rows and {tuple(row[1:]) for row in rows} == {tuple(f_row)}
+        assert rows == [["alpha/planar_description", *f_row]]  # one record for the described path
         assert [row[7] for row in discrepancies] == ["incomparable"]
     elif pipe.endswith("meta-information.json"):  # the bundle names no robot
         assert discrepancies == []
@@ -457,19 +469,20 @@ def test_fk_flag_ranges(small_corpus, tmp_path, capsys, flags, code):
         assert f"argument {flags[0]}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, loads_numpy", [("dupes", False), ("scan", True)])
-def test_numpy_loads_only_for_fk(small_corpus, tmp_path, command, loads_numpy):
+@pytest.mark.parametrize("command", ["scan", "compare", "stats", "dupes", "validate", "inspect"])
+def test_no_command_loads_numpy(small_corpus, tmp_path, command):
     out = tmp_path / "reports"
+    target = small_corpus / "alpha/planar_description/urdf/planar.urdf" \
+        if command == "inspect" else small_corpus
     script = ("import sys\n"
               "from urdf_inspect.cli import run_cli\n"
-              "imported = 'numpy' in sys.modules\n"
-              f"code = run_cli(['--out', {str(out)!r}, {command!r}, {str(small_corpus)!r}])\n"
-              "print(imported, code, 'numpy' in sys.modules)")
+              f"code = run_cli(['--out', {str(out)!r}, {command!r}, {str(target)!r}])\n"
+              "print(code, 'numpy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(urdf_inspect.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
-    assert run.stdout.split() == ["False", "0", str(loads_numpy)]
-    if command == "scan":  # the shared robot still gets an FK verdict
+    assert run.stdout.split() == ["0", "False"]
+    if command in ("scan", "compare"):  # the shared robot still gets an FK verdict
         header, row = read_csv(out / "discrepancies.csv")
         assert dict(zip(header, row))["fk"] == "false"
 

@@ -18,7 +18,7 @@ from urdf_inspect.kinematics import (
 )
 from urdf_inspect.model import parse_urdf
 
-from oracles import chain_fk, hom, pose_matrix, rotation_angle
+from oracles import chain_fk, hom, oracle_fk_deviation, pose_matrix, rotation_angle
 
 
 def chain_urdf(joints, name="chain"):
@@ -52,13 +52,16 @@ def random_chain(rng, max_joints=8):
     return joints
 
 
-def tree_urdf(joints, link_order=None, joint_order=None):
+def tree_urdf(joints, link_order=None, joint_order=None, limits=None):
     """URDF of a tree whose joint i (name, kind, parent index, xyz, rpy, axis)
-    hangs link l{i+1} off link l{parent}; the orders permute the declarations."""
+    hangs link l{i+1} off link l{parent}; the orders permute the declarations.
+    A revolute or prismatic joint i has the limits ``limits[i]``, (-1, 2) by default."""
     links = [f'<link name="l{i}"/>' for i in range(len(joints) + 1)]
+    limits = limits or [(-1, 2)] * len(joints)
     parts = []
     for i, (name, kind, parent, xyz, rpy, axis) in enumerate(joints, start=1):
-        limit = '<limit lower="-1" upper="2" effort="10" velocity="1"/>' \
+        lo, hi = limits[i - 1]
+        limit = f'<limit lower="{lo}" upper="{hi}" effort="10" velocity="1"/>' \
             if kind in ("revolute", "prismatic") else ""
         parts.append(
             f'<joint name="{name}" type="{kind}"><parent link="l{parent}"/><child link="l{i}"/>'
@@ -321,5 +324,88 @@ class TestRotationAngle:
             axis = rng.normal(size=3)
             angle = rng.uniform(0.0, 3.0)
             rb = ra @ Rotation.from_rotvec(angle * axis / np.linalg.norm(axis)).as_matrix()
-            assert abs(float(_rotation_angle(ra, rb)) - rotation_angle(ra, rb)) < 1e-9
-            assert float(_rotation_angle(ra, rb)) == float(_rotation_angle(rb, ra))
+            flat_a, flat_b = tuple(ra.ravel()), tuple(rb.ravel())
+            assert abs(_rotation_angle(flat_a, flat_b) - rotation_angle(ra, rb)) < 1e-9
+            assert _rotation_angle(flat_a, flat_b) == _rotation_angle(flat_b, flat_a)
+
+
+LIMIT = st.tuples(NUMBER, NUMBER).map(sorted)  # lo == hi included
+POSE = st.tuples(TRIPLE, TRIPLE, AXIS)  # origin xyz, origin rpy, axis
+
+
+@st.composite
+def fk_pairs(draw):
+    """One random tree declared twice, each copy with its own joint limits
+    and revolute/continuous choice.  The second copy is the same mechanism,
+    or has one joint's origin shifted or its roll turned by at least 0.01,
+    or has every joint's pose drawn afresh."""
+    count = draw(st.integers(1, 8))
+    kinds = [draw(KIND) for _ in range(count)]
+    parents = [draw(st.integers(0, i)) for i in range(count)]
+    poses = [draw(POSE) for _ in range(count)]
+    swap = {"revolute": "continuous", "continuous": "revolute"}
+    kinds_b = [swap.get(kind, kind) if draw(st.booleans()) else kind for kind in kinds]
+    limits = [[draw(LIMIT) for _ in range(count)] for _ in "ab"]
+    change = draw(st.none()
+                  | st.tuples(st.sampled_from(["xyz", "roll"]), st.integers(0, count - 1),
+                              st.floats(0.01, 0.5))
+                  | st.tuples(st.just("poses"), st.lists(POSE, min_size=count, max_size=count)))
+    return kinds, kinds_b, parents, poses, limits, change
+
+
+def _fk_pair_models(spec):
+    kinds, kinds_b, parents, poses, (limits_a, limits_b), change = spec
+    poses_b = list(poses)
+    if change is not None and change[0] == "poses":
+        poses_b = change[1]
+    elif change is not None:
+        what, index, amount = change
+        xyz, rpy, axis = poses_b[index]
+        if what == "xyz":
+            xyz = (xyz[0] + amount, xyz[1], xyz[2])
+        else:
+            rpy = (rpy[0] + amount, rpy[1], rpy[2])
+        poses_b[index] = (xyz, rpy, axis)
+    joints_a = [(f"j{i}", kind, parent, *pose)
+                for i, (kind, parent, pose) in enumerate(zip(kinds, parents, poses))]
+    joints_b = [(f"j{i}", kind, parent, *pose)
+                for i, (kind, parent, pose) in enumerate(zip(kinds_b, parents, poses_b))]
+    return (parse_urdf(tree_urdf(joints_a, limits=limits_a)),
+            parse_urdf(tree_urdf(joints_b, limits=limits_b)))
+
+
+# A revolute chain whose first joint's ranges are disjoint and whose second is a point.
+DEGENERATE_RANGES = (["revolute", "revolute"], ["revolute", "continuous"], [0, 1],
+                     [((0, 0, 0.3), (0.2, 0, 0), (0, 1, 0)), ((0.1, 0, 0.3), (0, 0.4, 0), (1, 0, 0))],
+                     [[(-1.0, -0.5), (0.3, 0.3)], [(0.5, 1.0), (-2.0, 2.0)]], None)
+
+
+class TestFkDifferential:
+    @given(fk_pairs())
+    @example(DEGENERATE_RANGES)
+    @example(DEGENERATE_RANGES[:5] + (("roll", 1, 0.01),))
+    @example(DEGENERATE_RANGES[:5] + (("poses", [((0, 0, 0.3), (0, 0, 0), (0, 1, 0))] * 2),))
+    @settings(deadline=None)
+    def test_matches_numpy_oracle_at_the_sampled_configurations(self, spec):
+        ma, mb = _fk_pair_models(spec)
+        ta, tb = build_tree(ma), build_tree(mb)
+        result = fk_equivalent(ta, ma, tb, mb)
+        worst_t, worst_r = oracle_fk_deviation(ta, tb, result.samples)
+        assert abs(result.worst_deviation - worst_t) < 1e-9
+        assert abs(result.worst_rotation - worst_r) < 1e-9
+        assert result.equal == (worst_t <= 1e-6 and worst_r <= 1e-6)
+        change = spec[-1]
+        if change is None or change[0] != "poses":  # a shift or turn of 0.01 always shows
+            assert result.equal == (change is None)
+
+    def test_disjoint_ranges_sample_the_midpoint(self):
+        ma, mb = _fk_pair_models(DEGENERATE_RANGES)
+        result = fk_equivalent(build_tree(ma), ma, build_tree(mb), mb, samples=4)
+        assert result.samples == ((0.0, 0.3),) * 4
+
+    def test_non_finite_origin_never_compares_equal(self):
+        ma = parse_urdf(chain_urdf([("revolute", (0, 0, 0.5), (0, 0, 0), (0, 1, 0))]))
+        mb = parse_urdf(chain_urdf([("revolute", (0, 0, "nan"), (0, 0, 0), (0, 1, 0))]))
+        result = fk_equivalent(build_tree(ma), ma, build_tree(mb), mb)
+        assert not result.equal
+        assert math.isnan(result.worst_deviation)
