@@ -206,12 +206,19 @@ Frame = tuple[Rotation, Vector]
 _IDENTITY: Rotation = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
+def _cos_sin(angle: float) -> tuple[float, float]:
+    """Both nan for an infinite angle, where math.cos and math.sin raise."""
+    if math.isinf(angle):
+        return math.nan, math.nan
+    return math.cos(angle), math.sin(angle)
+
+
 def _rpy(rpy: Sequence[float]) -> Rotation:
     """Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
     roll, pitch, yaw = rpy
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cy, sy = math.cos(yaw), math.sin(yaw)
+    cr, sr = _cos_sin(roll)
+    cp, sp = _cos_sin(pitch)
+    cy, sy = _cos_sin(yaw)
     return (cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr,
             sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr,
             -sp, cp * sr, cp * cr)
@@ -235,7 +242,8 @@ def _mat_vec(a: Rotation, v: Sequence[float], offset: Vector = (0.0, 0.0, 0.0)) 
 
 def _rodrigues(r: Rotation, rk: Rotation, rkk: Rotation, angle: float) -> Rotation:
     """r + sin(angle) * rk + (1 - cos(angle)) * rkk."""
-    s, v = math.sin(angle), 1.0 - math.cos(angle)
+    c, s = _cos_sin(angle)
+    v = 1.0 - c
     return (r[0] + s * rk[0] + v * rkk[0], r[1] + s * rk[1] + v * rkk[1],
             r[2] + s * rk[2] + v * rkk[2], r[3] + s * rk[3] + v * rkk[3],
             r[4] + s * rk[4] + v * rkk[4], r[5] + s * rk[5] + v * rkk[5],
@@ -315,7 +323,7 @@ def _rotation_angle(ra: Rotation, rb: Rotation) -> float:
     2 sqrt(2) sin(angle / 2): exactly 0 for equal frames, where the trace
     form's acos cannot resolve angles below ~1e-8."""
     chord = math.hypot(*(a - b for a, b in zip(ra, rb))) / (2.0 * math.sqrt(2.0))
-    return 2.0 * math.asin(min(1.0, chord))
+    return 2.0 * math.asin(1.0 if chord > 1.0 else chord)  # a nan chord stays nan
 
 
 def _worst(values: list[float]) -> float:

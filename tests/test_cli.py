@@ -487,6 +487,20 @@ def test_no_command_loads_numpy(small_corpus, tmp_path, command):
         assert dict(zip(header, row))["fk"] == "false"
 
 
+@pytest.mark.parametrize("bounds", [("inf", "inf"), ("-inf", "-inf")])
+def test_infinite_joint_limits_make_fk_differ(tmp_path, bounds):
+    # an infinite sampled angle turns the leaf frame to nan, which never compares equal
+    root = tmp_path / "corpus"
+    for source, (lo, hi) in (("s1", bounds), ("s2", ("-1", "1"))):
+        urdf = simple_urdf("arm", "revolute").replace(
+            'lower="-1" upper="1"', f'lower="{lo}" upper="{hi}"')
+        write_bundle(write_source(root, source), "arm_description", urdf, robot_name="arm")
+    out = tmp_path / "reports"
+    assert run_cli(["--out", str(out), "scan", str(root)]) == 0
+    header, row = read_csv(out / "discrepancies.csv")
+    assert dict(zip(header, row))["fk"] == "true"
+
+
 def _live_models() -> int:
     gc.collect()
     return sum(1 for obj in gc.get_objects() if type(obj) is RobotModel)

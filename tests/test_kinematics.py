@@ -380,6 +380,11 @@ DEGENERATE_RANGES = (["revolute", "revolute"], ["revolute", "continuous"], [0, 1
                      [[(-1.0, -0.5), (0.3, 0.3)], [(0.5, 1.0), (-2.0, 2.0)]], None)
 
 
+def agree(got: float, want: float) -> bool:
+    """Within 1e-9, or both nan."""
+    return abs(got - want) <= 1e-9 or (math.isnan(got) and math.isnan(want))
+
+
 class TestFkDifferential:
     @given(fk_pairs())
     @example(DEGENERATE_RANGES)
@@ -391,8 +396,8 @@ class TestFkDifferential:
         ta, tb = build_tree(ma), build_tree(mb)
         result = fk_equivalent(ta, ma, tb, mb)
         worst_t, worst_r = oracle_fk_deviation(ta, tb, result.samples)
-        assert abs(result.worst_deviation - worst_t) < 1e-9
-        assert abs(result.worst_rotation - worst_r) < 1e-9
+        assert agree(result.worst_deviation, worst_t)
+        assert agree(result.worst_rotation, worst_r)
         assert result.equal == (worst_t <= 1e-6 and worst_r <= 1e-6)
         change = spec[-1]
         if change is None or change[0] != "poses":  # a shift or turn of 0.01 always shows
@@ -409,3 +414,28 @@ class TestFkDifferential:
         result = fk_equivalent(build_tree(ma), ma, build_tree(mb), mb)
         assert not result.equal
         assert math.isnan(result.worst_deviation)
+
+    @pytest.mark.parametrize("rpy", [("nan", 0, 0), (0, "inf", 0), (0, 0, "-inf")])
+    def test_non_finite_rpy_never_compares_equal(self, rpy):
+        ma = parse_urdf(chain_urdf([("revolute", (0, 0, 0.5), (0, 0, 0), (0, 1, 0))]))
+        mb = parse_urdf(chain_urdf([("revolute", (0, 0, 0.5), rpy, (0, 1, 0))]))
+        result = fk_equivalent(build_tree(ma), ma, build_tree(mb), mb)
+        assert not result.equal
+        assert math.isnan(result.worst_rotation)
+
+    @pytest.mark.parametrize("bounds", [("inf", "inf"), ("-inf", "-inf")])
+    def test_infinite_limits_never_compare_equal(self, bounds):
+        # the disjoint ranges fall back to an infinite midpoint angle
+        joints = [("j0", "revolute", 0, (0, 0, 0.3), (0, 0, 0), (0, 1, 0)),
+                  ("j1", "fixed", 1, (0.2, 0, 0.1), (0, 0, 0), (1, 0, 0))]
+        ma = parse_urdf(tree_urdf(joints, limits=[bounds, (-1, 2)]))
+        mb = parse_urdf(tree_urdf(joints))
+        ta, tb = build_tree(ma), build_tree(mb)
+        for result in fk_equivalent(ta, ma, tb, mb), fk_equivalent(tb, mb, ta, ma):
+            assert not result.equal
+            assert math.isnan(result.worst_deviation)
+            assert math.isnan(result.worst_rotation)
+            with np.errstate(invalid="ignore"):  # numpy warns of sin(inf)
+                worst_t, worst_r = oracle_fk_deviation(ta, tb, result.samples)
+            assert agree(result.worst_deviation, worst_t)
+            assert agree(result.worst_rotation, worst_r)
