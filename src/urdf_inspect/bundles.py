@@ -207,7 +207,7 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
         info = info if isinstance(info, dict) else {}
         source = (_text(info.get("name"), source_dir.name), _meta(info, "url", ""))
 
-        described: set[Path] = set()
+        described: set[str] = set()  # real paths: a symlink loop has one, where resolve() raises
         source_records: list[BundleRecord] = []
         for meta_path in _walk(source_dir, "meta-information.json", errors):
             bundle_dir = meta_path.parent
@@ -222,14 +222,14 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
                 notices = []
                 if not rel:
                     notices.append("metadata gives no URDF location")
-                elif not (bundle_dir / rel).exists():
+                elif not os.path.lexists(bundle_dir / rel):
                     notices.append(f"described URDF '{rel}' not found on disk")
-                else:  # even when not a regular file: reading it then gives the F row
-                    described.add((bundle_dir / rel).resolve())
+                else:  # even when not a regular file or a dangling link: reading it gives the F row
+                    described.add(os.path.realpath(bundle_dir / rel))
                 source_records.append(_record(source, bundle_dir, Path(rel), entry, "", *notices))
 
         for urdf in _walk(source_dir, "*.urdf", errors):
-            if urdf.resolve() not in described:
+            if os.path.realpath(urdf) not in described:
                 source_records.append(_record(source, urdf.parent, Path(urdf.name), {},
                                               str(urdf.relative_to(source_dir)),
                                               "no meta-information.json describes this file"))

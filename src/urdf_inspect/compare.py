@@ -89,7 +89,6 @@ def _differs(facts: list[tuple[str, object]]) -> bool:
 
 
 def compare_group(bundles: list[tuple[BundleRecord, RobotModel | None, str | None]],
-                  fk_samples: int = 16, fk_seed: int = 0,
                   fk_tol: float = 1e-6) -> DiscrepancyReport:
     """Feature comparison over one robot's bundles, across distinct sources.
 
@@ -108,20 +107,18 @@ def compare_group(bundles: list[tuple[BundleRecord, RobotModel | None, str | Non
     built = []
     for source, model in parsed:
         try:
-            built.append((source, model, build_tree(model)))
+            built.append((source, build_tree(model)))
         except TreeError:
             pass
     fk_verdicts: list[bool | None] = []
     if len(sources) >= 2 and len(built) < len(bundles):
         fk_verdicts.append(None)  # a member without a tree sits in some cross-source pair
-    for i, (source_a, ma, ta) in enumerate(built):
-        for source_b, mb, tb in built[i + 1:]:
+    for i, (source_a, ta) in enumerate(built):
+        for source_b, tb in built[i + 1:]:
             if source_a == source_b:
                 continue
             try:
-                outcome = fk_equivalent(ta, ma, tb, mb,
-                                        samples=fk_samples, seed=fk_seed, tol=fk_tol)
-                fk_verdicts.append(not outcome.equal)
+                fk_verdicts.append(not fk_equivalent(ta, tb, tol=fk_tol).equal)
             except (Incomparable, UnsupportedJoint):
                 fk_verdicts.append(None)
 

@@ -73,20 +73,23 @@ def is_text_payload(path: Path, head: bytes) -> bool:
     return False
 
 
-def _head_key(path: Path) -> int:
-    """CRC-32 of the first normalized KiB.
+def _head_key(path: Path) -> tuple[int, object]:
+    """CRC-32 of the first normalized KiB, and the file's identity: its
+    (st_dev, st_ino), or ``path`` where an inode number of 0 names none.
 
     ``normalize(raw[:k])`` is a prefix of ``normalize(raw)``, so a text
     file is read only until its prefix normalizes to a KiB or it ends."""
     with path.open("rb") as fh:
+        st = os.fstat(fh.fileno())
+        identity = (st.st_dev, st.st_ino) if st.st_ino else path
         raw = fh.read(1024)
         if not is_text_payload(path, raw):
-            return zlib.crc32(raw)
+            return zlib.crc32(raw), identity
         head = normalize(raw, True)
         while len(head) < 1024 and (more := fh.read(len(raw))):
             raw += more
             head = normalize(raw, True)
-    return zlib.crc32(head[:1024])
+    return zlib.crc32(head[:1024]), identity
 
 
 def _normalized_chunks(path: Path) -> Iterator[bytes]:
@@ -123,18 +126,24 @@ def find_duplicates(paths: Iterable[Path | str],
     """Group byte-identical files (after normalization) among ``paths``.
 
     Unreadable files are skipped and collected into ``errors`` when a
-    list is supplied; the run never aborts.  Groups hold at least two
-    members and are sorted by (size descending, first path); the result
-    does not depend on input order.
+    list is supplied; the run never aborts.  A path to a file that an
+    earlier path already names (a symlink or a hard link) is left out.
+    Groups hold at least two members and are sorted by (size descending,
+    first path); the result does not depend on input order.
     """
     if errors is None:
         errors = []
     buckets: dict[int, list[Path]] = {}
+    seen: set = set()  # the identities of the files keyed so far
     for path in sorted({Path(p) for p in paths}, key=str):
         try:
-            buckets.setdefault(_head_key(path), []).append(path)
+            key, identity = _head_key(path)
         except OSError as exc:
             errors.append((path, exc))
+            continue
+        if identity not in seen:
+            seen.add(identity)
+            buckets.setdefault(key, []).append(path)
     groups = [DuplicateGroup(tuple(members), size, digest)
               for bucket in buckets.values() if len(bucket) >= 2
               for members, size, digest in _identical_classes(bucket, errors)]

@@ -331,18 +331,16 @@ def _worst(values: list[float]) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def fk_equivalent(tree_a: KinematicTree, model_a: RobotModel,
-                  tree_b: KinematicTree, model_b: RobotModel,
-                  samples: int = 16, seed: int = 0, tol: float = 1e-6) -> FkComparison:
-    """Compare two mechanisms by sampled forward kinematics.
+def fk_equivalent(tree_a: KinematicTree, tree_b: KinematicTree, tol: float = 1e-6) -> FkComparison:
+    """Compare two mechanisms by forward kinematics at 16 sampled configurations.
 
     Joints are paired by index in ``actuated`` (revolute and continuous
     count as the same motion kind), leaf frames by index in ``leaves()``:
     both follow the tree preorder with siblings by joint name, so the
     verdict does not depend on declaration order.  Each sampled value is
-    uniform over the intersection of the two joints' ranges.  Equal iff
-    every sampled leaf frame agrees within ``tol`` in translation and in
-    rotation angle.  Deterministic given (samples, seed) and symmetric.
+    uniform over the intersection of the two joints' ranges, drawn from
+    ``random.Random(0)``.  Equal iff every sampled leaf frame agrees within
+    ``tol`` in translation and in rotation angle.  Deterministic and symmetric.
     """
     if len(tree_a.actuated) != len(tree_b.actuated):
         raise Incomparable("joint_count",
@@ -361,9 +359,9 @@ def fk_equivalent(tree_a: KinematicTree, model_a: RobotModel,
     if len(leaves_a) != len(leaves_b):
         raise Incomparable("leaf_count", f"{len(leaves_a)} vs {len(leaves_b)} leaf links")
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     configs = [tuple(rng.uniform(lo, hi) if hi > lo else lo for lo, hi in ranges)
-               for _ in range(max(1, samples))]
+               for _ in range(16)]
     pairs = [(fa[leaf_a], fb[leaf_b])
              for fa, fb in zip(_frames(tree_a, configs), _frames(tree_b, configs))
              for leaf_a, leaf_b in zip(leaves_a, leaves_b)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,15 @@ def write_bundle(source_dir: Path, dirname: str, urdf_text: str, *,
     }
     (bundle / "meta-information.json").write_text(json.dumps(meta), encoding="utf-8")
     return bundle
+
+
+def symlink(target: str, path: Path) -> None:
+    """Make ``path`` a symbolic link to ``target``, or skip the test where
+    the platform or its permissions allow no symbolic links."""
+    try:
+        os.symlink(target, path)
+    except (AttributeError, NotImplementedError, OSError):
+        pytest.skip("needs symbolic links")
 
 
 def write_source(root: Path, name: str) -> Path:

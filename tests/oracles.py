@@ -208,8 +208,7 @@ def oracle_line_count(text: str) -> int:
 # --------------------------------------------------------------------------
 
 
-def oracle_discrepancy_flags(bundles, fk_samples: int = 16, fk_seed: int = 0,
-                             fk_tol: float = 1e-6) -> tuple:
+def oracle_discrepancy_flags(bundles, fk_tol: float = 1e-6) -> tuple:
     """(joints, links, cad, fk, lines) by the pairwise definition.
 
     ``bundles`` holds (record, model or None, text or None) triples.
@@ -252,8 +251,7 @@ def oracle_discrepancy_flags(bundles, fk_samples: int = 16, fk_seed: int = 0,
                 verdicts.append(None)
                 continue
             try:
-                verdicts.append(not fk_equivalent(ta, ma, tb, mb, samples=fk_samples,
-                                                  seed=fk_seed, tol=fk_tol).equal)
+                verdicts.append(not fk_equivalent(ta, tb, tol=fk_tol).equal)
             except (Incomparable, UnsupportedJoint):
                 verdicts.append(None)
     fk = True if True in verdicts else None if None in verdicts else False

@@ -20,7 +20,8 @@ from urdf_inspect.bundles import (
 )
 from urdf_inspect.model import parse_urdf
 
-from conftest import LISTING1, XACRO_BANNER, simple_urdf, write_bundle, write_source
+from conftest import (LISTING1, XACRO_BANNER, simple_urdf, symlink, write_bundle,
+                      write_source)
 
 APACHE = "Apache License\nVersion 2.0, January 2004\nhttp://www.apache.org/licenses/"
 BSD3 = ("Redistribution and use in source and binary forms, with or without modification, "
@@ -74,6 +75,23 @@ class TestScanCorpus:
         assert [(r.id, r.urdf_path.as_posix(), r.notices) for r in records] == [
             ("gripper_description", "urdf/gripper.urdf", ()),
             ("planar_description", "urdf/planar.urdf", ())]
+
+    @pytest.mark.parametrize("target", ["planar.urdf", "gone.urdf"])  # a loop, a dangling link
+    def test_described_unreadable_symlink_is_one_record(self, small_corpus, target):
+        path = small_corpus / "alpha" / "planar_description" / "urdf" / "planar.urdf"
+        path.unlink()
+        symlink(target, path)
+        records = [r for r in scan_corpus(small_corpus) if r.source_name == "alpha"]
+        assert [(r.id, r.urdf_path.as_posix(), r.notices) for r in records] == [
+            ("gripper_description", "urdf/gripper.urdf", ()),
+            ("planar_description", "urdf/planar.urdf", ())]
+
+    @pytest.mark.parametrize("target", ["x.urdf", "gone.urdf"])
+    def test_orphan_unreadable_symlink_is_one_record(self, tmp_path, target):
+        source = write_source(tmp_path / "corpus", "solo")
+        symlink(target, source / "x.urdf")
+        assert [(r.id, r.notices) for r in scan_corpus(tmp_path / "corpus")] == [
+            ("x.urdf", ("no meta-information.json describes this file",))]
 
     def test_key_aliases_tolerated(self, tmp_path):
         source = write_source(tmp_path / "corpus", "solo")

@@ -1,4 +1,5 @@
 import csv
+import errno
 import gc
 import json
 import os
@@ -13,7 +14,8 @@ from urdf_inspect import bundles, cli, compare, report
 from urdf_inspect.cli import run_cli
 from urdf_inspect.model import RobotModel
 
-from conftest import LISTING1, XACRO_BANNER, simple_urdf, write_bundle, write_source
+from conftest import (LISTING1, XACRO_BANNER, simple_urdf, symlink, write_bundle,
+                      write_source)
 from oracles import oracle_bundle_tables
 
 
@@ -262,6 +264,22 @@ class TestScanCommand:
             ["alpha/planar_description", "error", "F", "document", "0",
              "cannot read file: Is a directory"]]
 
+    @pytest.mark.parametrize("described", [True, False])
+    @pytest.mark.parametrize("target, error", [("self", errno.ELOOP), ("gone.urdf", errno.ENOENT)])
+    def test_unreadable_symlink_is_one_f_row(self, small_corpus, tmp_path, described, target,
+                                             error):
+        urdf = small_corpus / "alpha" / "planar_description" / "urdf"
+        path = urdf / ("planar.urdf" if described else "extra.urdf")
+        if described:
+            path.unlink()
+        symlink(path.name if target == "self" else target, path)
+        out = tmp_path / "reports"
+        assert run_cli(["--out", str(out), "scan", str(small_corpus)]) == 0
+        assert sum(map(int, read_csv(out / "structures.csv")[-1][1:])) == (4 if described else 5)
+        rel = "alpha/planar_description" + ("" if described else "/urdf/extra.urdf")
+        assert read_csv(out / "parsing_errors.csv")[1:] == [
+            [rel, "error", "F", "document", "0", f"cannot read file: {os.strerror(error)}"]]
+
     def test_hidden_entries_skipped_by_every_walk(self, tmp_path):
         root = tmp_path / "corpus"
         urdf = simple_urdf("r")
@@ -454,19 +472,42 @@ def test_named_pipe_never_blocks(small_corpus, tmp_path, pipe):
 
 
 @pytest.mark.parametrize("flags, code", [
-    (["--seed", "-1"], 2),
-    (["--seed", "1.5"], 2),
     (["--fk-tol", "-1"], 2),
+    (["--fk-tol=-inf"], 2),  # "-inf" alone would read as an option
     (["--fk-tol", "nan"], 2),
     (["--fk-tol", "inf"], 2),
-    (["--fk-samples", "0"], 2),
-    (["--fk-samples", "-3"], 2),
-    (["--seed", "0", "--fk-tol", "0", "--fk-samples", "1"], 0),
+    (["--fk-tol", "1e400"], 2),  # overflows to inf
+    (["--fk-tol", "x"], 2),
+    (["--fk-tol", ""], 2),
+    (["--fk-tol", "0"], 0),
 ])
 def test_fk_flag_ranges(small_corpus, tmp_path, capsys, flags, code):
     assert run_cli([*flags, "--out", str(tmp_path / "out"), "compare", str(small_corpus)]) == code
     if code:
-        assert f"argument {flags[0]}" in capsys.readouterr().err
+        assert "argument --fk-tol: expected a finite value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--fk-samples"])
+def test_fk_sampling_flags_are_gone(small_corpus, capsys, flag):
+    assert run_cli([flag, "16", "compare", str(small_corpus)]) == 2
+    assert run_cli([f"{flag}=16", "compare", str(small_corpus)]) == 2
+    assert f"unrecognized arguments: {flag}=16" in capsys.readouterr().err
+
+
+def test_fk_tol_reaches_the_verdict(tmp_path):
+    # two copies whose joint origins differ by 0.1 mm
+    root = tmp_path / "corpus"
+    for source, z in (("s1", "0.5"), ("s2", "0.5001")):
+        urdf = simple_urdf("arm", "revolute").replace(
+            '<child link="tip"/>', f'<child link="tip"/><origin xyz="0 0 {z}"/>')
+        write_bundle(write_source(root, source), "arm_description", urdf, robot_name="arm")
+    verdicts = []
+    for flags in ([], ["--fk-tol", "1e-3"]):
+        out = tmp_path / f"reports{len(flags)}"
+        assert run_cli([*flags, "--out", str(out), "compare", str(root)]) == 0
+        header, row = read_csv(out / "discrepancies.csv")
+        verdicts.append(dict(zip(header, row))["fk"])
+    assert verdicts == ["true", "false"]
 
 
 @pytest.mark.parametrize("command", ["scan", "compare", "stats", "dupes", "validate", "inspect"])

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import tempfile
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from urdf_inspect import dedup
 from urdf_inspect.dedup import find_duplicates, is_text_payload, normalize
 
+from conftest import symlink
 from oracles import brute_force_duplicates, oracle_normalize
 
 
@@ -191,6 +193,18 @@ class TestFindDuplicates:
         assert groups == []
         assert len(errors) == 1 and errors[0][0] == missing
 
+    @pytest.mark.parametrize("hard", [False, True])
+    def test_linked_file_is_not_its_own_duplicate(self, tmp_path, hard):
+        mesh, linked, copy = tmp_path / "m.stl", tmp_path / "link.stl", tmp_path / "n.stl"
+        mesh.write_bytes(b"\x01mesh" * 300)
+        if hard:
+            os.link(mesh, linked)
+        else:
+            symlink(mesh.name, linked)
+        assert find_duplicates([mesh, linked]) == []
+        copy.write_bytes(mesh.read_bytes())  # a real copy groups with the first path in order
+        assert [g.members for g in find_duplicates([mesh, linked, copy])] == [(linked, copy)]
+
     def test_groups_sorted_by_size_desc(self, tmp_path):
         big = b"x" * 500 + b"\n"
         small = b"y\n"
@@ -362,5 +376,5 @@ def test_text_key_is_crc_of_normalized_head(lead, body):
         keys = set()
         for name, twin in twins.items():
             (Path(tmp) / name).write_bytes(twin)
-            keys.add(dedup._head_key(Path(tmp) / name))
+            keys.add(dedup._head_key(Path(tmp) / name)[0])
     assert keys == {zlib.crc32(content[:1024])}

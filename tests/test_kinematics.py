@@ -212,49 +212,50 @@ class TestFkEquivalent:
             ("continuous", (0, 0, 0.5), (0, 0, 0), (0, 1, 0))]
 
     def _pair(self, joints_a, joints_b):
-        ma = parse_urdf(chain_urdf(joints_a, name="a"))
-        mb = parse_urdf(chain_urdf(joints_b, name="b"))
-        return build_tree(ma), ma, build_tree(mb), mb
+        return (build_tree(parse_urdf(chain_urdf(joints_a, name="a"))),
+                build_tree(parse_urdf(chain_urdf(joints_b, name="b"))))
 
     def test_model_equals_itself(self):
-        ta, ma, tb, mb = self._pair(self.BASE, self.BASE)
-        outcome = fk_equivalent(ta, ma, tb, mb)
+        ta, tb = self._pair(self.BASE, self.BASE)
+        outcome = fk_equivalent(ta, tb)
         assert outcome.equal
         assert outcome.worst_deviation == 0.0
 
     def test_shifted_origin_detected(self):
         shifted = [("continuous", (0, 0, 0.6), (0, 0, 0), (0, 1, 0)), self.BASE[1]]
-        ta, ma, tb, mb = self._pair(self.BASE, shifted)
-        outcome = fk_equivalent(ta, ma, tb, mb)
+        ta, tb = self._pair(self.BASE, shifted)
+        outcome = fk_equivalent(ta, tb)
         assert not outcome.equal
         assert outcome.worst_deviation >= 0.1 - 1e-12
 
     def test_joint_count_mismatch(self):
-        ta, ma, tb, mb = self._pair(self.BASE, self.BASE + [self.BASE[0]])
+        ta, tb = self._pair(self.BASE, self.BASE + [self.BASE[0]])
         with pytest.raises(Incomparable) as info:
-            fk_equivalent(ta, ma, tb, mb)
+            fk_equivalent(ta, tb)
         assert info.value.reason == "joint_count"
 
     def test_joint_kind_mismatch(self):
         prismatic = [("prismatic", (0, 0, 0.5), (0, 0, 0), (0, 1, 0)), self.BASE[1]]
-        ta, ma, tb, mb = self._pair(self.BASE, prismatic)
+        ta, tb = self._pair(self.BASE, prismatic)
         with pytest.raises(Incomparable) as info:
-            fk_equivalent(ta, ma, tb, mb)
+            fk_equivalent(ta, tb)
         assert info.value.reason == "joint_kinds"
 
     def test_revolute_and_continuous_pair_up(self):
         revolute = [("revolute", (0, 0, 0.5), (0, 0, 0), (0, 1, 0)), self.BASE[1]]
-        ta, ma, tb, mb = self._pair(self.BASE, revolute)
-        assert isinstance(fk_equivalent(ta, ma, tb, mb).equal, bool)
+        ta, tb = self._pair(self.BASE, revolute)
+        assert isinstance(fk_equivalent(ta, tb).equal, bool)
 
     def test_symmetric_and_deterministic(self):
         shifted = [("continuous", (0, 0.2, 0.5), (0, 0.1, 0), (0, 1, 0)), self.BASE[1]]
-        ta, ma, tb, mb = self._pair(self.BASE, shifted)
-        forward = fk_equivalent(ta, ma, tb, mb, samples=8, seed=3)
-        backward = fk_equivalent(tb, mb, ta, ma, samples=8, seed=3)
-        again = fk_equivalent(ta, ma, tb, mb, samples=8, seed=3)
+        ta, tb = self._pair(self.BASE, shifted)
+        forward = fk_equivalent(ta, tb)
+        backward = fk_equivalent(tb, ta)
+        again = fk_equivalent(ta, tb)
         assert forward.worst_deviation == backward.worst_deviation == again.worst_deviation
         assert forward.equal == backward.equal
+        assert forward.samples == again.samples
+        assert len(forward.samples) == 16
 
     def test_sampling_respects_limits(self):
         limited = """<robot name="a"><link name="l0"/><link name="l1"/>
@@ -263,9 +264,9 @@ class TestFkEquivalent:
             </robot>"""
         model = parse_urdf(limited)
         tree = build_tree(model)
-        outcome = fk_equivalent(tree, model, tree, model, samples=32)
+        outcome = fk_equivalent(tree, tree)
         assert outcome.equal
-        assert len(outcome.samples) == 32
+        assert len(outcome.samples) == 16
         for config in outcome.samples:
             assert 0.25 <= config[0] <= 0.5
 
@@ -302,7 +303,7 @@ class TestDeclarationOrder:
         joints, link_order, joint_order = spec
         ma = parse_urdf(tree_urdf(joints))
         mb = parse_urdf(tree_urdf(joints, link_order, joint_order))
-        outcome = fk_equivalent(build_tree(ma), ma, build_tree(mb), mb)
+        outcome = fk_equivalent(build_tree(ma), build_tree(mb))
         assert outcome.equal
         assert outcome.worst_deviation == 0.0
         assert outcome.worst_rotation == 0.0
@@ -313,7 +314,7 @@ class TestRotationAngle:
         # the trace form read 4.2e-8 rad here, failing tol=1e-9
         model = parse_urdf(chain_urdf([("revolute", (0, 0, 0.5), (0, 0, 0), (1, 1, 0))]))
         tree = build_tree(model)
-        outcome = fk_equivalent(tree, model, tree, model, tol=1e-9)
+        outcome = fk_equivalent(tree, tree, tol=1e-9)
         assert outcome.equal
         assert outcome.worst_rotation == 0.0
 
@@ -394,7 +395,7 @@ class TestFkDifferential:
     def test_matches_numpy_oracle_at_the_sampled_configurations(self, spec):
         ma, mb = _fk_pair_models(spec)
         ta, tb = build_tree(ma), build_tree(mb)
-        result = fk_equivalent(ta, ma, tb, mb)
+        result = fk_equivalent(ta, tb)
         worst_t, worst_r = oracle_fk_deviation(ta, tb, result.samples)
         assert agree(result.worst_deviation, worst_t)
         assert agree(result.worst_rotation, worst_r)
@@ -405,13 +406,13 @@ class TestFkDifferential:
 
     def test_disjoint_ranges_sample_the_midpoint(self):
         ma, mb = _fk_pair_models(DEGENERATE_RANGES)
-        result = fk_equivalent(build_tree(ma), ma, build_tree(mb), mb, samples=4)
-        assert result.samples == ((0.0, 0.3),) * 4
+        result = fk_equivalent(build_tree(ma), build_tree(mb))
+        assert result.samples == ((0.0, 0.3),) * 16
 
     def test_non_finite_origin_never_compares_equal(self):
         ma = parse_urdf(chain_urdf([("revolute", (0, 0, 0.5), (0, 0, 0), (0, 1, 0))]))
         mb = parse_urdf(chain_urdf([("revolute", (0, 0, "nan"), (0, 0, 0), (0, 1, 0))]))
-        result = fk_equivalent(build_tree(ma), ma, build_tree(mb), mb)
+        result = fk_equivalent(build_tree(ma), build_tree(mb))
         assert not result.equal
         assert math.isnan(result.worst_deviation)
 
@@ -419,7 +420,7 @@ class TestFkDifferential:
     def test_non_finite_rpy_never_compares_equal(self, rpy):
         ma = parse_urdf(chain_urdf([("revolute", (0, 0, 0.5), (0, 0, 0), (0, 1, 0))]))
         mb = parse_urdf(chain_urdf([("revolute", (0, 0, 0.5), rpy, (0, 1, 0))]))
-        result = fk_equivalent(build_tree(ma), ma, build_tree(mb), mb)
+        result = fk_equivalent(build_tree(ma), build_tree(mb))
         assert not result.equal
         assert math.isnan(result.worst_rotation)
 
@@ -431,7 +432,7 @@ class TestFkDifferential:
         ma = parse_urdf(tree_urdf(joints, limits=[bounds, (-1, 2)]))
         mb = parse_urdf(tree_urdf(joints))
         ta, tb = build_tree(ma), build_tree(mb)
-        for result in fk_equivalent(ta, ma, tb, mb), fk_equivalent(tb, mb, ta, ma):
+        for result in fk_equivalent(ta, tb), fk_equivalent(tb, ta):
             assert not result.equal
             assert math.isnan(result.worst_deviation)
             assert math.isnan(result.worst_rotation)
