@@ -85,7 +85,8 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.command in ("validate", "inspect") and not args.path.exists():
+        # a dangling link or a link loop exists as a name and gets an F row
+        if args.command in ("validate", "inspect") and not os.path.lexists(args.path):
             print(f"error: {args.path} does not exist", file=sys.stderr)
             return EXIT_IO
         if args.command == "validate":

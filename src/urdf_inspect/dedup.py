@@ -7,23 +7,29 @@ to tell text from binary and keys every file by the CRC-32 of its first
 normalized KiB, reading a text file only as far as that KiB needs.  A
 file whose key no other file shares is never read further; a text file
 and a binary holding its normalized bytes share a key.  Confirmation
-reads the members of each shared key in lockstep through
-``_normalized_chunks``, 1 MiB at a time, normalizing text as it goes
-with a trailing CR carried to the next read, and splits them into
-classes of identical content after every chunk; a class of one stops
-being read.  So a text file is normalized at most once, and only when
-another file shares its head.  Each class keeps the size and one running
-MD5 of what its members read, which become the group's size and digest.
-Byte equality, never the digest, decides membership."""
+takes the members of each shared key in two lockstep passes, 1 MiB at a
+time, and splits them after every chunk into classes of equal chunks; a
+class of one stops being read.  Pass 1 reads them raw, so the members
+that stay together to the end are byte-identical copies of one kind
+(text or binary): a copy class.  Pass 2 reads one member of each copy
+class through ``_normalized_chunks``, normalizing text as it goes with a
+trailing CR carried to the next read, and a class holding two or more
+paths between its copy classes is a group.  So a text file is
+normalized at most once per copy class, and only when another file
+shares its head.  Each pass-2 class keeps the size and one running MD5
+of what it read, which become the group's size and digest.  Byte
+equality, never the digest, decides membership.  Only regular files are
+read, so a named pipe cannot block the run."""
 
 from __future__ import annotations
 
 import hashlib
 import os
+import stat
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 __all__ = [
     "DuplicateGroup",
@@ -73,13 +79,24 @@ def is_text_payload(path: Path, head: bytes) -> bool:
     return False
 
 
+def _open(path: Path) -> BinaryIO:
+    """``path`` opened for reading, or an ``OSError`` at once if it is not
+    a regular file: opening or reading a named pipe could block."""
+    nonblocking = getattr(os, "O_NONBLOCK", 0)  # a POSIX flag
+    fh = open(path, "rb", opener=lambda name, flags: os.open(name, flags | nonblocking))
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.close()
+        raise OSError("not a regular file")
+    return fh
+
+
 def _head_key(path: Path) -> tuple[int, object]:
     """CRC-32 of the first normalized KiB, and the file's identity: its
     (st_dev, st_ino), or ``path`` where an inode number of 0 names none.
 
     ``normalize(raw[:k])`` is a prefix of ``normalize(raw)``, so a text
     file is read only until its prefix normalizes to a KiB or it ends."""
-    with path.open("rb") as fh:
+    with _open(path) as fh:
         st = os.fstat(fh.fileno())
         identity = (st.st_dev, st.st_ino) if st.st_ino else path
         raw = fh.read(1024)
@@ -92,22 +109,36 @@ def _head_key(path: Path) -> tuple[int, object]:
     return zlib.crc32(head[:1024]), identity
 
 
+def _raw_chunks(path: Path) -> Iterator[bytes]:
+    """``b"t"`` for a text file or ``b"b"`` for a binary, then its raw
+    content in ``_CHUNK`` pieces up to a short (maybe empty) last one: two
+    files give the same chunks iff they hold the same bytes and normalize
+    alike.  No file stays open between reads: a bucket may hold more files
+    than can be open at once."""
+    offset = 0
+    while True:
+        with _open(path) as fh:
+            kind = b"" if offset else b"t" if is_text_payload(path, fh.read(1024)) else b"b"
+            fh.seek(offset)
+            # no larger than what is left: a read allocates all it asks for
+            raw = fh.read(min(_CHUNK, max(0, os.fstat(fh.fileno()).st_size - offset)))
+        if kind:
+            yield kind
+        offset += len(raw)
+        yield raw
+        if len(raw) < _CHUNK:
+            return
+
+
 def _normalized_chunks(path: Path) -> Iterator[bytes]:
     """The normalized content of one file in ``_CHUNK`` pieces, so text and
     binary files split at the same offsets.  Text is normalized one raw
     read at a time; a CR ending a read (after its blanks are dropped) is
-    carried over, as it may be the first half of a CRLF.  No file stays
-    open between reads: a bucket may hold more files than can be open at
-    once."""
-    offset, carry, pending, text = 0, b"", b"", None
-    while True:
-        with path.open("rb") as fh:
-            if text is None:
-                text = is_text_payload(path, fh.read(1024))
-            fh.seek(offset)
-            # no larger than what is left: a read allocates all it asks for
-            raw = fh.read(min(_CHUNK, max(0, os.fstat(fh.fileno()).st_size - offset)))
-        offset += len(raw)
+    carried over, as it may be the first half of a CRLF."""
+    chunks = _raw_chunks(path)
+    text = next(chunks) == b"t"
+    carry, pending = b"", b""
+    for raw in chunks:
         end = len(raw) < _CHUNK  # a short read ends the file
         if text:
             raw = carry + raw.translate(None, _BLANKS)
@@ -116,8 +147,6 @@ def _normalized_chunks(path: Path) -> Iterator[bytes]:
         pending += raw
         cut = len(pending) if end else len(pending) - len(pending) % _CHUNK
         yield from (pending[start:start + _CHUNK] for start in range(0, cut, _CHUNK))
-        if end:
-            return
         pending = pending[cut:]
 
 
@@ -125,9 +154,10 @@ def find_duplicates(paths: Iterable[Path | str],
                     errors: list[tuple[Path, OSError]] | None = None) -> list[DuplicateGroup]:
     """Group byte-identical files (after normalization) among ``paths``.
 
-    Unreadable files are skipped and collected into ``errors`` when a
-    list is supplied; the run never aborts.  A path to a file that an
-    earlier path already names (a symlink or a hard link) is left out.
+    Unreadable files, and anything but a regular file, are skipped and
+    collected into ``errors`` when a list is supplied; the run never
+    aborts.  A path to a file that an earlier path already names (a
+    symlink or a hard link) is left out.
     Groups hold at least two members and are sorted by (size descending,
     first path); the result does not depend on input order.
     """
@@ -154,33 +184,62 @@ def find_duplicates(paths: Iterable[Path | str],
 def _identical_classes(bucket: list[Path],
                        errors: list[tuple[Path, OSError]]) -> list[tuple[list[Path], int, str]]:
     """Split a bucket into classes of identical normalized content, of two
-    or more members each, with the size and MD5 of that content.
+    or more members each, with the size and MD5 of that content: pass 1
+    splits it by raw chunks into copy classes, unhashed, and pass 2 splits
+    those by the normalized chunks of one member each."""
+    copies = [sum(classes, [])
+              for classes, _, _ in _split([[path] for path in bucket], _raw_chunks, errors)]
+    return [(sorted(sum(classes, []), key=str), size, md5.hexdigest())
+            for classes, size, md5 in _split(copies, _normalized_chunks, errors, hashlib.md5())
+            if sum(map(len, classes)) >= 2]
 
-    The members of a class are read in lockstep, one chunk each, and the
-    class splits by the chunk they read; a class of one is not read on.
+
+def _split(copies: list[list[Path]], read: Callable[[Path], Iterator[bytes]],
+           errors: list[tuple[Path, OSError]],
+           md5: Any = None) -> list[tuple[list[list[Path]], int, Any]]:
+    """Split ``copies``, lists of byte-identical paths, into classes of
+    equal ``read`` chunks, reading one path of each list in lockstep; a
+    class splits by the chunk its lists read.  A class of fewer than two
+    paths is not read on; every other class is read to its end and comes
+    with the size and running MD5 (when ``md5`` is given) of its chunks.
     """
-    done: list[tuple[list[Path], int, str]] = []
-    reading = [([(path, _normalized_chunks(path)) for path in bucket], 0, hashlib.md5())]
+    done = []
+    reading = [([(paths, _first_readable(paths, read, errors)) for paths in copies], 0, md5)]
     while reading:
         streams, size, md5 = reading.pop()
-        split: list[tuple[bytes | None, list[tuple[Path, Iterator[bytes]]]]] = []
-        for path, chunks in streams:
-            try:
-                chunk = next(chunks, None)
-            except OSError as exc:
-                errors.append((path, exc))
+        split: list[tuple[bytes | None, list[tuple[list[Path], Iterator[bytes]]]]] = []
+        for paths, chunks in streams:
+            chunk = next(chunks, None)
+            if not paths:  # each of them failed and is reported
                 continue
             same = next((members for seen, members in split if seen == chunk), None)
             if same is None:
                 split.append((chunk, same := []))
-            same.append((path, chunks))
+            same.append((paths, chunks))
         for chunk, same in split:
-            if len(same) < 2:
+            classes = [paths for paths, _ in same]
+            if chunk is None or sum(map(len, classes)) < 2:
+                done.append((classes, size, md5))
                 continue
-            if chunk is None:
-                done.append(([path for path, _ in same], size, md5.hexdigest()))
-                continue
-            running = md5.copy() if len(split) > 1 else md5
-            running.update(chunk)
+            running = md5.copy() if md5 is not None and len(split) > 1 else md5
+            if running is not None:
+                running.update(chunk)
             reading.append((same, size + len(chunk), running))
     return done
+
+
+def _first_readable(paths: list[Path], read: Callable[[Path], Iterator[bytes]],
+                    errors: list[tuple[Path, OSError]]) -> Iterator[bytes]:
+    """The chunks ``read`` gives for ``paths[0]``.  A path that cannot be
+    read is reported and dropped from ``paths``, and the next one, a
+    byte-identical copy, goes on from the same chunk."""
+    sent = 0
+    while paths:
+        try:
+            for index, chunk in enumerate(read(paths[0])):
+                if index == sent:
+                    sent += 1
+                    yield chunk
+            return
+        except OSError as exc:
+            errors.append((paths.pop(0), exc))

@@ -173,13 +173,15 @@ def oracle_normalize(data: bytes, is_text: bool) -> bytes:
     return bytes(out)
 
 
+def oracle_content(path) -> bytes:
+    """The normalized content of the file at ``path``."""
+    data = Path(path).read_bytes()
+    return oracle_normalize(data, _oracle_is_text(Path(path), data))
+
+
 def brute_force_duplicates(paths) -> set[frozenset]:
     """All-pairs grouping by normalized byte equality; groups of >= 2."""
-    normalized = {}
-    for path in paths:
-        path = Path(path)
-        data = path.read_bytes()
-        normalized[path] = oracle_normalize(data, _oracle_is_text(path, data))
+    normalized = {Path(path): oracle_content(path) for path in paths}
     remaining = sorted(normalized, key=str)
     groups = set()
     while remaining:

@@ -126,6 +126,19 @@ class TestInspectCommand:
         assert run_cli(["inspect", str(tmp_path / "ghost.urdf")]) == 3
 
 
+@pytest.mark.parametrize("command", ["validate", "inspect"])
+@pytest.mark.parametrize("target, reason", [
+    ("gone.urdf", "No such file or directory"),
+    ("x.urdf", "Too many levels of symbolic links"),  # the link names itself
+])
+def test_broken_link_is_an_f_row(tmp_path, command, target, reason):
+    link, out = tmp_path / "x.urdf", tmp_path / "out"
+    symlink(target, link)
+    assert run_cli(["--out", str(out), command, str(link)]) == 1
+    assert read_csv(out / "parsing_errors.csv")[1:] == [
+        ["x.urdf", "error", "F", "document", "0", f"cannot read file: {reason}"]]
+
+
 EXPECTED_TABLES = {
     "structures", "xacro", "parsing_errors", "mesh_types", "duplicates",
     "duplicates_cross_source", "discrepancies", "licenses", "contact",

@@ -1,6 +1,8 @@
 import hashlib
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import zlib
@@ -10,11 +12,12 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import urdf_inspect
 from urdf_inspect import dedup
 from urdf_inspect.dedup import find_duplicates, is_text_payload, normalize
 
 from conftest import symlink
-from oracles import brute_force_duplicates, oracle_normalize
+from oracles import brute_force_duplicates, oracle_content, oracle_normalize
 
 
 class TestNormalize:
@@ -101,9 +104,10 @@ def make_fixture_tree(root: Path, rng: random.Random, n_payloads: int = 40) -> l
 
 @pytest.fixture
 def served(monkeypatch) -> dict[Path, int]:
-    """Bytes that reads through ``Path.open`` served, per path."""
+    """Bytes that reads through ``dedup._open``, which opens every file
+    that dedup reads, served, per path."""
     served: dict[Path, int] = {}
-    real_open = Path.open
+    real_open = dedup._open
 
     class Counting:
         def __init__(self, path, fh):
@@ -123,8 +127,7 @@ def served(monkeypatch) -> dict[Path, int]:
         def __exit__(self, *exc):
             self.fh.close()
 
-    monkeypatch.setattr(Path, "open",
-                        lambda path, *args, **kw: Counting(path, real_open(path, *args, **kw)))
+    monkeypatch.setattr(dedup, "_open", lambda path: Counting(path, real_open(path)))
     return served
 
 
@@ -279,17 +282,84 @@ class TestFindDuplicates:
         assert [g.members for g in groups] == [(paths[0], paths[2])]
         assert [path for path, _ in errors] == [paths[1]]
 
+    def test_text_normalized_once_per_copy_class(self, tmp_path, monkeypatch):
+        body = b"<robot name='r'>\n  <link name='l'/>\n</robot>\n" * 50
+        copies = [tmp_path / f"copy{i}.urdf" for i in range(4)]
+        for path in copies:
+            path.write_bytes(body)
+        variant = tmp_path / "crlf.urdf"
+        variant.write_bytes(body.replace(b"\n", b"\r\n"))
+        normalized, real = [], dedup._normalized_chunks
+        monkeypatch.setattr(dedup, "_normalized_chunks",
+                            lambda path: normalized.append(path) or real(path))
+        groups = find_duplicates([*copies, variant])
+        assert [g.members for g in groups] == [(*copies, variant)]
+        assert (groups[0].size, groups[0].digest) == (
+            len(normalize(body, True)), hashlib.md5(normalize(body, True)).hexdigest())
+        assert sorted(normalized) == [copies[0], variant]
+
+    @pytest.mark.parametrize("after", [0, 1])
+    def test_representative_vanishing_between_passes_reported_once(self, tmp_path, monkeypatch,
+                                                                    after):
+        """The first copy goes away before pass 2 reads it, or after its first
+        chunk; the next copy takes over and the class still groups."""
+        body = b"<p>  1 2 3  </p>\n" * 40  # several 64-byte chunks
+        copies = [tmp_path / f"copy{i}.dae" for i in range(3)]
+        for path in copies:
+            path.write_bytes(body)
+        variant = tmp_path / "tabs.dae"
+        variant.write_bytes(body.replace(b" ", b"\t"))
+        real = dedup._normalized_chunks
+
+        def vanishing(path):
+            for index, chunk in enumerate(real(path)):
+                if path == copies[0] and index == after:
+                    path.unlink()
+                yield chunk
+
+        monkeypatch.setattr(dedup, "_normalized_chunks", vanishing)
+        monkeypatch.setattr(dedup, "_CHUNK", 64)
+        errors: list = []
+        groups = find_duplicates([*copies, variant], errors=errors)
+        assert [g.members for g in groups] == [(*copies[1:], variant)]
+        assert (groups[0].size, groups[0].digest) == (
+            len(normalize(body, True)), hashlib.md5(normalize(body, True)).hexdigest())
+        assert [path for path, _ in errors] == [copies[0]]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_named_pipe_is_an_error_not_a_block(tmp_path):
+    """Run in a child with a timeout, so a blocking open fails the test
+    rather than hanging the suite."""
+    for name in ("a.txt", "b.txt"):
+        (tmp_path / name).write_text("same\n")
+    os.mkfifo(tmp_path / "fifo")
+    script = ("import sys\n"
+              "from urdf_inspect.dedup import find_duplicates\n"
+              "errors = []\n"
+              "groups = find_duplicates(sys.argv[1:], errors)\n"
+              "print([[p.name for p in g.members] for g in groups])\n"
+              "print([(p.name, str(e)) for p, e in errors])")
+    env = dict(os.environ, PYTHONPATH=str(Path(urdf_inspect.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script,
+                          *(str(tmp_path / n) for n in ("a.txt", "b.txt", "fifo"))],
+                         env=env, capture_output=True, text=True, check=True, timeout=30)
+    assert run.stdout.splitlines() == ["[['a.txt', 'b.txt']]",
+                                       "[('fifo', 'not a regular file')]"]
+
 
 SMALL_CHUNK = 64  # confirmation chunk in the property below, so small files span several
 
 
 @st.composite
-def colliding_files(draw) -> dict[str, bytes]:
+def colliding_files(draw) -> dict[str, bytes | str]:
     """Files whose normalized sizes collide on purpose: binaries that differ
     only in their first or last chunk, empty files, whitespace and CRLF
-    text twins, a binary holding a text's normalized bytes, and an ASCII
-    and a binary STL of equal normalized size."""
-    files = {"empty.txt": b"", "empty.bin": b"", "empty.stl": b""}
+    text twins, a binary holding a text's normalized bytes and one holding
+    its raw bytes, and an ASCII and a binary STL of equal normalized size;
+    then byte-identical copies and hard links (named by a ``str`` value:
+    the file they link to) of some of them."""
+    files: dict[str, bytes | str] = {"empty.txt": b"", "empty.bin": b"", "empty.stl": b""}
     for i in range(draw(st.integers(1, 3))):
         # a shared first KiB puts near misses in one bucket, so only confirmation splits them
         pad = draw(st.sampled_from([b"", b"x" * 1100]))
@@ -302,30 +372,40 @@ def colliding_files(draw) -> dict[str, bytes]:
         files[f"t{i}_crlf.dae"] = text.replace(b"\n", b"\r\n")
         files[f"t{i}_padded.txt"] = text.replace(b"<", b" \t<")
         files[f"t{i}_normalized.bin"] = oracle_normalize(text, True)
+        files[f"t{i}_raw.bin"] = text  # same bytes as t{i}.urdf, normalized differently
         ascii_stl = b"solid " + text
         files[f"t{i}_ascii.stl"] = ascii_stl
         files[f"t{i}_binary.stl"] = (b"\x00" + blob * len(ascii_stl))[
             :len(oracle_normalize(ascii_stl, True))]
+    originals = sorted(files)
+    for name in draw(st.lists(st.sampled_from(originals), max_size=8)):
+        files[f"c{len(files)}_{name}"] = files[name]  # the prefix keeps the extension
+    for name in draw(st.lists(st.sampled_from(originals), max_size=3)):
+        files[f"l{len(files)}_{name}"] = name
     return files
 
 
-@settings(max_examples=60, deadline=None)
-@given(colliding_files())
-def test_size_collisions_match_oracle(files):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dedup, "_CHUNK", SMALL_CHUNK):
-        paths = []
+@settings(max_examples=80, deadline=None)
+@given(colliding_files(), st.sampled_from([7, SMALL_CHUNK]))
+def test_size_collisions_match_oracle(files, chunk):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dedup, "_CHUNK", chunk):
         for name, data in files.items():
-            paths.append(Path(tmp) / name)
-            paths[-1].write_bytes(data)
+            if isinstance(data, str):
+                os.link(Path(tmp) / data, Path(tmp) / name)
+            else:
+                (Path(tmp) / name).write_bytes(data)
+        paths = sorted(Path(tmp).iterdir(), key=str)
+        inodes: dict[int, Path] = {}  # the first path in order names each file
+        for path in paths:
+            inodes.setdefault(path.stat().st_ino, path)
         errors: list = []
         groups = find_duplicates(paths, errors=errors)
         assert errors == []
-        assert {frozenset(g.members) for g in groups} == brute_force_duplicates(paths)
+        assert {frozenset(g.members) for g in groups} == brute_force_duplicates(inodes.values())
         assert groups == sorted(groups, key=lambda g: (-g.size, str(g.members[0])))
         for group in groups:
             assert list(group.members) == sorted(group.members, key=str)
-            data = group.members[0].read_bytes()
-            content = oracle_normalize(data, is_text_payload(group.members[0], data[:1024]))
+            content = oracle_content(group.members[0])
             assert (group.size, group.digest) == (len(content), hashlib.md5(content).hexdigest())
 
 
@@ -378,3 +458,4 @@ def test_text_key_is_crc_of_normalized_head(lead, body):
             (Path(tmp) / name).write_bytes(twin)
             keys.add(dedup._head_key(Path(tmp) / name)[0])
     assert keys == {zlib.crc32(content[:1024])}
+
