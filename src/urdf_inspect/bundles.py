@@ -148,14 +148,19 @@ def _warn_unlistable(exc: OSError) -> None:
 def _walk(base: Path, pattern: str = "*", errors: list[OSError] | None = None) -> list[Path]:
     """Files and directories below ``base`` whose name matches ``pattern``, in
     path order.  Hidden ones (named ``.*``) are left out and never entered; a
-    directory that cannot be listed contributes nothing, and its error is
-    appended to ``errors``, or named on stderr when ``errors`` is None."""
+    directory that cannot be listed contributes nothing, and a linked one is
+    listed but not entered.  Each of these two gives an ``OSError`` naming
+    it, appended to ``errors``, or named on stderr when ``errors`` is None."""
     found: list[Path] = []
     onerror = _warn_unlistable if errors is None else errors.append
-    for top, dirs, files in os.walk(base, onerror=onerror):
+    # links are pruned below, which spares os.walk its own link test of each directory
+    for top, dirs, files in os.walk(base, onerror=onerror, followlinks=True):
         dirs[:] = [d for d in dirs if not d.startswith(".")]
         found += [Path(top, name) for name in fnmatch.filter(dirs + files, pattern)
                   if not name.startswith(".")]
+        for link in [d for d in dirs if os.path.islink(os.path.join(top, d))]:
+            onerror(OSError(None, "linked directory, not followed", os.path.join(top, link)))
+            dirs.remove(link)
     return sorted(found)
 
 

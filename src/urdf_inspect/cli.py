@@ -8,13 +8,13 @@ Subcommands:
     dupes <root>          duplicate-file groups
     stats <root>          model/name/contact/license tables
 
-The corpus commands read and parse every bundle's URDF once and keep
-only the facts the tables read of it: its diagnostics and, under scan
-and stats, its xacro banner, contact markers, mesh inventory, name-term
-counts and link and joint counts.  Under scan and compare, each multiply
-defined robot is compared as soon as its members are loaded and only its
-row is kept, so no parsed model outlives its group; stats and dupes do
-not group.
+The corpus commands parse each URDF they load once: scan, stats and
+dupes load every bundle (though no dupes table reads one), compare only
+the members of multiply defined robots.  A bundle keeps only the facts
+the tables read: its diagnostics and, under scan and stats, its xacro
+banner, contact markers, mesh inventory, name-term counts and link and
+joint counts.  Under scan and compare, each multiply defined robot is
+compared as soon as its members load, so no parsed model outlives its group.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage error,
 3 I/O failure.
@@ -102,7 +102,7 @@ def run_cli(argv: list[str]) -> int:
             tables = _dupes_tables(corpus)
         else:  # stats lists scan's last four tables in reverse
             tables = _stats_tables(corpus)[::-1]
-        for exc in {e.filename: e for e in corpus.unlistable}.values():  # each directory once
+        for exc in {e.filename: e for e in corpus.skipped}.values():  # each directory once
             bundles._warn_unlistable(exc)
         _emit_tables(args, tables)
         return EXIT_OK
@@ -143,7 +143,7 @@ class _Corpus:
     root: Path
     entries: list[_Entry]
     discrepancies: list[tuple[str, str, str, compare.DiscrepancyReport]]  # sorted rows, if compared
-    unlistable: list[OSError]  # from every walk, repeats included
+    skipped: list[OSError]  # directories a walk did not enter, repeats included
 
 
 def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnostic]]:
@@ -169,17 +169,15 @@ def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnost
     return raw, result.model, diags
 
 
-def _load_entry(record: BundleRecord, facts: bool,
-                decode: bool = False) -> tuple[_Entry, RobotModel | None, str | None]:
-    """Analyze one bundle's URDF into its entry, model and text; the table
-    facts are taken only when ``facts``, the text decoded only when
-    ``facts or decode``."""
+def _load_entry(record: BundleRecord, facts: bool) -> tuple[_Entry, RobotModel | None, str | None]:
+    """Analyze one bundle's URDF into its entry, model and text (None when
+    not read); the table facts are taken only when ``facts``."""
     raw, model, diags = None, None, []
     urdf = record.urdf_file
     if record.urdf_path != Path() and os.path.lexists(urdf):  # a dangling link gives an F row
         raw, model, diags = _analyze(urdf)
     entry = _Entry(record, diags)
-    text = raw.decode("utf-8", errors="replace") if raw is not None and (facts or decode) else None
+    text = None if raw is None else raw.decode("utf-8", errors="replace")
     if facts and text is not None:
         entry.xacro_banner = bundles.detect_xacro_generated(text)
         entry.contact = bundles.contact_markers(text)
@@ -191,25 +189,26 @@ def _load_entry(record: BundleRecord, facts: bool,
 
 
 def _load_corpus(args: argparse.Namespace) -> _Corpus:
-    """Every bundle under ``args.root``, each URDF parsed once; the table
-    facts are taken only under scan and stats.  Under scan and compare the
-    multiply defined robots load and are compared first, one at a time."""
+    """The bundles under ``args.root``, each URDF parsed once: under compare
+    only the group members, and no entries kept; the table facts only under
+    scan and stats.  Multiply defined robots load and compare first, one at a time."""
     facts = args.command in ("scan", "stats")
-    unlistable: list[OSError] = []
-    records = bundles.scan_corpus(args.root, unlistable)
+    skipped: list[OSError] = []
+    records = bundles.scan_corpus(args.root, skipped)
     members: dict[int, _Entry] = {}  # by id of their record
     groups = compare.find_multiply_defined(records) if args.command in ("scan", "compare") else {}
     rows = sorted((_compare(args, group, facts, members) for group in groups.values()),
                   key=lambda row: row[:2])  # by robot name, then manufacturer
-    entries = [members.pop(id(r), None) or _load_entry(r, facts)[0] for r in records]
-    return _Corpus(bundles._corpus_root(args.root), entries, rows, unlistable)
+    entries = [] if args.command == "compare" else [
+        members.pop(id(r), None) or _load_entry(r, facts)[0] for r in records]
+    return _Corpus(bundles._corpus_root(args.root), entries, rows, skipped)
 
 
 def _compare(args: argparse.Namespace, group: list[BundleRecord], facts: bool,
              members: dict[int, _Entry]) -> tuple[str, str, str, compare.DiscrepancyReport]:
     """Load and compare one robot's members, adding their entries to
     ``members``; the discrepancies row is all that outlives the call."""
-    loaded = [_load_entry(record, facts, decode=True) for record in group]
+    loaded = [_load_entry(record, facts) for record in group]
     members.update((id(entry.record), entry) for entry, _, _ in loaded)
     rep = compare.compare_group([(entry.record, model, text) for entry, model, text in loaded],
                                 fk_tol=args.fk_tol)
@@ -252,7 +251,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _corpus_tables(corpus: _Corpus) -> list[report.ReportTable]:
     structure_rows = [(e.record.source_name,
-                       bundles.classify_structure(e.record.root_dir, corpus.unlistable))
+                       bundles.classify_structure(e.record.root_dir, corpus.skipped))
                       for e in corpus.entries]
     xacro_rows = [(e.record.source_name, e.record.xacro_generated_by_dataset, e.xacro_banner)
                   for e in corpus.entries]
@@ -274,7 +273,7 @@ def _stats_tables(corpus: _Corpus) -> list[report.ReportTable]:
     parsed = [e for e in corpus.entries if e.size is not None]
     return [
         report.licenses_table([(e.record.source_name,
-                                bundles.detect_license(e.record.root_dir, corpus.unlistable))
+                                bundles.detect_license(e.record.root_dir, corpus.skipped))
                                for e in corpus.entries]),
         report.contact_table([e.contact for e in corpus.entries if e.contact is not None]),
         report.name_stats_table([(e.record.source_name, e.name_terms) for e in parsed]),
@@ -284,7 +283,7 @@ def _stats_tables(corpus: _Corpus) -> list[report.ReportTable]:
 
 
 def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
-    files = [p for p in bundles._walk(corpus.root, "*", corpus.unlistable)
+    files = [p for p in bundles._walk(corpus.root, "*", corpus.skipped)
              if p.is_file() and p.name not in ("source-information.json", "meta-information.json")]
     io_errors: list = []
     groups = dedup.find_duplicates(files, errors=io_errors)

@@ -378,6 +378,21 @@ class TestLicenseDetection:
         (bundle / "LICENSE-MIT").write_text(MIT)
         assert detect_license(bundle) is detect_license(bundle)
 
+    def test_linked_directory_not_entered_and_named(self, tmp_path, capsys):
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "elsewhere" / "LICENSE").write_text(MIT)
+        bundle = tmp_path / "x"
+        bundle.mkdir()
+        symlink("../elsewhere", bundle / "legal")
+        assert detect_license(bundle) is LicenseId.UNKNOWN  # a standalone call names the link
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: cannot list {bundle / 'legal'}: linked directory, not followed"]
+        errors: list[OSError] = []
+        assert detect_license(bundle, errors) is LicenseId.UNKNOWN  # a list collects it
+        assert capsys.readouterr().err == ""
+        assert [(e.filename, e.strerror) for e in errors] == [
+            (str(bundle / "legal"), "linked directory, not followed")]
+
 
 class TestContactMarkers:
     def test_full_comment(self):

@@ -380,6 +380,38 @@ class TestScanCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"warning: cannot list {meshes}: Permission denied"]
 
+    @pytest.mark.parametrize("link, target", [
+        ("s2/b_description", "../s1/b_description"),  # a bundle linked into a second source
+        ("s1/b_description/meshes", "../c_description/meshes"),  # holds a mesh and a LICENSE
+        ("s1/b_description/d", "."),  # a loop
+    ])
+    def test_linked_directory_named_once_and_not_entered(self, tmp_path, capsys, link, target):
+        # against the same corpus with an empty directory in the link's place
+        outs = []
+        for linked in (False, True):
+            root = tmp_path / f"corpus_{linked}"
+            s1, s2 = write_source(root, "s1"), write_source(root, "s2")
+            write_bundle(s1, "b_description", simple_urdf("b"), robot_name="b")
+            for source in (s1, s2):
+                write_bundle(source, "c_description", simple_urdf("c"), robot_name="c",
+                             meshes={"m.stl": b"solid m\nendsolid\n"},
+                             license_text="Permission is hereby granted, free of charge")
+            path = root / link
+            if path.is_dir():
+                path.rmdir()
+            if linked:
+                symlink(target, path)
+            else:
+                path.mkdir()
+            outs.append(tmp_path / f"reports_{linked}")
+            assert run_cli(["--out", str(outs[-1]), "scan", str(root)]) == 0
+            assert capsys.readouterr().err.splitlines() == (
+                [f"warning: cannot list {path}: linked directory, not followed"] if linked else [])
+        tables = sorted(p.name for p in outs[0].iterdir())
+        assert tables == sorted(p.name for p in outs[1].iterdir())
+        for name in tables:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_two_runs_byte_identical(self, small_corpus, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         run_cli(["--out", str(out1), "scan", str(small_corpus)])
@@ -602,11 +634,60 @@ def test_only_scan_and_stats_take_bundle_facts(small_corpus, tmp_path, monkeypat
     validate = cli.validate
     monkeypatch.setattr(cli, "validate", lambda raw: parsed.append(raw) or validate(raw))
     assert run_cli(["--out", str(tmp_path / "out"), command, str(small_corpus)]) == 0
-    assert len(parsed) == 4  # every bundle is parsed under every command
+    # compare parses only the two members of its one group, the others every bundle
+    assert len(parsed) == (2 if command == "compare" else 4)
     assert bool(facts) is takes_facts
     # and only scan and compare group the robots and compare them
     compares = {"scan": True, "stats": False, "compare": True, "dupes": False}[command]
     assert compared == (["find_multiply_defined", "compare_group"] if compares else [])
+
+
+def _add_non_members(root: Path) -> None:
+    """A second multiply defined robot and three bundles in no group: a
+    malformed URDF, a named pipe as URDF (where the platform has them) and
+    small_corpus's gripper."""
+    write_bundle(root / "alpha", "rover_description", simple_urdf("rover"),
+                 robot_name="rover", robot_type="mobile robot", manufacturer="Bolt")
+    write_bundle(root / "alpha", "broken_description", "<robot><link>", robot_name="broken")
+    pipe = write_bundle(root / "beta", "pipe_description", LISTING1, robot_name="pipe")
+    if hasattr(os, "mkfifo"):
+        (pipe / "urdf" / "pipe.urdf").unlink()
+        os.mkfifo(pipe / "urdf" / "pipe.urdf")
+
+
+def test_compare_loads_only_group_members(small_corpus, monkeypatch):
+    _add_non_members(small_corpus)
+    members = [r for group in compare.find_multiply_defined(
+        bundles.scan_corpus(small_corpus)).values() for r in group]
+    assert len(members) == 4
+    loaded, analyzed, parsed = [], [], []
+    load_entry, analyze, validate = cli._load_entry, cli._analyze, cli.validate
+    monkeypatch.setattr(cli, "_load_entry",
+                        lambda record, facts: loaded.append(record) or load_entry(record, facts))
+    monkeypatch.setattr(cli, "_analyze", lambda path: analyzed.append(path) or analyze(path))
+    monkeypatch.setattr(cli, "validate", lambda raw: parsed.append(raw) or validate(raw))
+    corpus = cli._load_corpus(cli._build_parser().parse_args(["compare", str(small_corpus)]))
+    assert sorted(loaded, key=repr) == sorted(members, key=repr)  # once each, and no other
+    assert sorted(analyzed) == sorted(r.urdf_file for r in members)
+    assert sorted(parsed) == sorted(r.urdf_file.read_bytes() for r in members)
+    assert b"<robot><link>" not in parsed
+    assert corpus.entries == []
+    assert [row[:2] for row in corpus.discrepancies] == [("planar", "Acme"), ("rover", "Bolt")]
+
+
+@pytest.mark.parametrize("non_members", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_compare_and_scan_write_the_same_discrepancies(small_corpus, tmp_path, non_members,
+                                                       fmt):
+    if non_members:
+        _add_non_members(small_corpus)
+    written = []
+    for command in ("scan", "compare"):
+        out = tmp_path / command
+        assert run_cli(["--format", fmt, "--out", str(out), command, str(small_corpus)]) == 0
+        written.append((out / f"discrepancies.{fmt}").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"planar") == 1
 
 
 def _graph_urdf(name: str, links: str, joints: list[tuple[str, str]]) -> str:
