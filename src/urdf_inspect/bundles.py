@@ -4,6 +4,10 @@ A corpus root holds one directory per source; each source describes its
 robots with ``source-information.json`` and per-bundle
 ``meta-information.json`` files.  A bundle is the directory holding a
 meta file plus the URDF and mesh files it describes.
+
+One rule, ``_entered``, picks the directories entered, the sources and
+each level of ``_walk`` alike: no hidden one (named ``.*``) and no linked
+one, which is named instead.  Every file is read through ``dedup._open``.
 """
 
 from __future__ import annotations
@@ -13,11 +17,13 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
+from . import dedup
 from .model import Mesh, RobotModel
 
 __all__ = [
@@ -129,9 +135,8 @@ def _meta(data: dict, key: str, default):
 def _load_json(path: Path):
     """The JSON value of a regular file; None when there is none to read."""
     try:
-        if not path.is_file():  # a directory, or a named pipe that would block the read
-            return None
-        return json.loads(path.read_text(encoding="utf-8", errors="replace"))
+        with dedup._open(path) as fh:
+            return json.loads(fh.read().decode("utf-8", errors="replace"))
     except (OSError, json.JSONDecodeError):
         return None
 
@@ -145,22 +150,28 @@ def _warn_unlistable(exc: OSError) -> None:
     print(f"warning: cannot list {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
 
 
+def _entered(top: str, dirs: list[str], onerror) -> list[str]:
+    """The names among ``dirs``, directories in ``top``, that are entered:
+    not hidden ones, nor linked ones, each named to ``onerror``."""
+    entered = [d for d in dirs if not d.startswith(".")]
+    for link in [d for d in entered if os.path.islink(os.path.join(top, d))]:
+        onerror(OSError(None, "linked directory, not followed", os.path.join(top, link)))
+        entered.remove(link)
+    return entered
+
+
 def _walk(base: Path, pattern: str = "*", errors: list[OSError] | None = None) -> list[Path]:
     """Files and directories below ``base`` whose name matches ``pattern``, in
-    path order.  Hidden ones (named ``.*``) are left out and never entered; a
-    directory that cannot be listed contributes nothing, and a linked one is
-    listed but not entered.  Each of these two gives an ``OSError`` naming
-    it, appended to ``errors``, or named on stderr when ``errors`` is None."""
+    path order, but no hidden one; only what ``_entered`` enters is entered.
+    Each directory that cannot be listed or is linked gives an ``OSError``
+    naming it, appended to ``errors``, or named on stderr if ``errors`` is None."""
     found: list[Path] = []
     onerror = _warn_unlistable if errors is None else errors.append
     # links are pruned below, which spares os.walk its own link test of each directory
     for top, dirs, files in os.walk(base, onerror=onerror, followlinks=True):
-        dirs[:] = [d for d in dirs if not d.startswith(".")]
         found += [Path(top, name) for name in fnmatch.filter(dirs + files, pattern)
                   if not name.startswith(".")]
-        for link in [d for d in dirs if os.path.islink(os.path.join(top, d))]:
-            onerror(OSError(None, "linked directory, not followed", os.path.join(top, link)))
-            dirs.remove(link)
+        dirs[:] = _entered(top, dirs, onerror)
     return sorted(found)
 
 
@@ -202,12 +213,15 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
     URL) counts only when it is a non-empty string, and the xacro flag
     only when it is a boolean; anything else reads as a missing key, the
     flag as false.
-    Hidden entries (a name starting with a dot) are skipped.  Output is
-    ordered by (source, id, urdf path) and stable across runs.
+    The sources are the directories ``_entered`` enters, so a linked one
+    gives no record.  Hidden entries (a name starting with a dot) are
+    skipped.  Output is ordered by (source, id, urdf path) and stable.
     """
     root = _corpus_root(root)
     records: list[BundleRecord] = []
-    for source_dir in sorted(p for p in root.iterdir() if not p.name.startswith(".") and p.is_dir()):
+    sources = _entered(str(root), [p.name for p in root.iterdir() if p.is_dir()],
+                       _warn_unlistable if errors is None else errors.append)
+    for source_dir in sorted(root / name for name in sources):
         info = _load_json(source_dir / "source-information.json")
         info = info if isinstance(info, dict) else {}
         source = (_text(info.get("name"), source_dir.name), _meta(info, "url", ""))
@@ -338,18 +352,10 @@ def resolve_mesh_uri(bundle_dir: Path | str, uri: str) -> Path | None:
 
 def mesh_inventory(model: RobotModel) -> MeshInventory:
     """Count mesh references by extension class, split by usage."""
-    visual: dict[str, int] = {}
-    collision: dict[str, int] = {}
-    for link in model.links:
-        for vis in link.visuals:
-            if isinstance(vis.geometry, Mesh):
-                ext = _extension_class(vis.geometry.uri)
-                visual[ext] = visual.get(ext, 0) + 1
-        for col in link.collisions:
-            if isinstance(col.geometry, Mesh):
-                ext = _extension_class(col.geometry.uri)
-                collision[ext] = collision.get(ext, 0) + 1
-    return MeshInventory(visual=visual, collision=collision)
+    def count(usage: str) -> dict[str, int]:
+        return dict(Counter(_extension_class(e.geometry.uri) for link in model.links
+                            for e in getattr(link, usage) if isinstance(e.geometry, Mesh)))
+    return MeshInventory(visual=count("visuals"), collision=count("collisions"))
 
 
 _LICENSE_FILE = re.compile(r"(license|licence|copying)", re.IGNORECASE)
@@ -371,14 +377,15 @@ def _fingerprint(text: str) -> LicenseId | None:
 
 def detect_license(bundle_dir: Path | str, errors: list[OSError] | None = None) -> LicenseId:
     """Fingerprint LICENSE/COPYING-style files under a bundle directory,
-    skipping hidden entries.  A directory that cannot be listed is
-    reported as ``_walk`` reports it."""
+    skipping hidden entries and what ``dedup._open`` cannot open.  A
+    directory that cannot be listed is reported as ``_walk`` reports it."""
     bundle_dir = Path(bundle_dir)
     candidates = sorted((p for p in _walk(bundle_dir, "*", errors)
-                         if _LICENSE_FILE.match(p.name) and p.is_file()), key=str)
+                         if _LICENSE_FILE.match(p.name)), key=str)
     for path in candidates:
         try:
-            text = path.read_text(encoding="utf-8", errors="replace")
+            with dedup._open(path) as fh:
+                text = fh.read().decode("utf-8", errors="replace")
         except OSError:
             continue
         found = _fingerprint(_normalize_license_text(text))

@@ -15,6 +15,8 @@ the tables read: its diagnostics and, under scan and stats, its xacro
 banner, contact markers, mesh inventory, name-term counts and link and
 joint counts.  Under scan and compare, each multiply defined robot is
 compared as soon as its members load, so no parsed model outlives its group.
+Every file is read through ``dedup._open``, and directories are entered
+by the rule of ``bundles._entered``: no hidden or linked one.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage error,
 3 I/O failure.
@@ -25,7 +27,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import stat
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,16 +150,12 @@ class _Corpus:
 def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnostic]]:
     """Read, validate and sanity-check one URDF file.
 
-    Returns (bytes, model, diagnostics); a file that cannot be read has
-    no bytes and no model, and one F diagnostic saying why.  Only a
-    regular file is read (a directory fails in the read), so a named
-    pipe cannot block the run.
+    Returns (bytes, model, diagnostics); a file that ``dedup._open`` cannot
+    open or read has no bytes and no model, and one F diagnostic saying why.
     """
     try:
-        mode = path.stat().st_mode
-        if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
-            raise OSError("not a regular file")
-        raw = path.read_bytes()
+        with dedup._open(path) as fh:
+            raw = fh.read()
     except OSError as exc:
         reason = exc.strerror or str(exc)
         return None, None, [Diagnostic("error", "F", "document", f"cannot read file: {reason}")]

@@ -122,19 +122,12 @@ def compare_group(bundles: list[tuple[BundleRecord, RobotModel | None, str | Non
             except (Incomparable, UnsupportedJoint):
                 fk_verdicts.append(None)
 
-    if True in fk_verdicts:
-        diff_fk: bool | None = True
-    elif None in fk_verdicts:
-        diff_fk = None
-    else:
-        diff_fk = False
-
     return DiscrepancyReport(
         sources=sources,
         diff_joints=_differs([(s, len(m.joints)) for s, m in parsed]),
         diff_links=_differs([(s, len(m.links)) for s, m in parsed]),
         diff_cad_types=_differs([(s, (frozenset(inv.visual), frozenset(inv.collision)))
                                  for s, inv in inventories]),
-        diff_fk=diff_fk,
+        diff_fk=True if True in fk_verdicts else None if None in fk_verdicts else False,
         diff_lines=_differs(lines),
     )

@@ -19,10 +19,12 @@ normalized at most once per copy class, and only when another file
 shares its head.  Each pass-2 class keeps the size and one running MD5
 of what it read, which become the group's size and digest.  Byte
 equality, never the digest, decides membership.  Only regular files are
-read, so a named pipe cannot block the run."""
+read, so a named pipe cannot block the run: ``_open``, through which
+``bundles`` and ``cli`` read every file too, fails at once for the rest."""
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import stat
@@ -81,9 +83,13 @@ def is_text_payload(path: Path, head: bytes) -> bool:
 
 def _open(path: Path) -> BinaryIO:
     """``path`` opened for reading, or an ``OSError`` at once if it is not
-    a regular file: opening or reading a named pipe could block."""
+    a regular file: opening or reading a named pipe could block, and a
+    socket cannot be opened (ENXIO)."""
     nonblocking = getattr(os, "O_NONBLOCK", 0)  # a POSIX flag
-    fh = open(path, "rb", opener=lambda name, flags: os.open(name, flags | nonblocking))
+    try:
+        fh = open(path, "rb", opener=lambda name, flags: os.open(name, flags | nonblocking))
+    except OSError as exc:
+        raise OSError("not a regular file") if exc.errno == errno.ENXIO else exc
     if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         fh.close()
         raise OSError("not a regular file")

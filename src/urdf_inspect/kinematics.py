@@ -116,7 +116,7 @@ class _JointGraph:
     """
 
     children: dict[str, list[tuple[Joint, str]]]
-    roots: list[str]  # links that are no joint's child, in document order
+    roots: list[str]  # links that are no joint's child, by name
     joints: list[Joint]  # the walk from the roots: depth-first preorder, siblings by joint name
     problems: list[tuple[str, str, str]]  # (reason, subject, message); none iff a single rooted tree
 
@@ -131,7 +131,7 @@ def _joint_graph(model: RobotModel) -> _JointGraph:
             children[joint.parent].append((joint, joint.child))
             if joint.child in waiting:
                 waiting[joint.child] += 1
-    roots = [link.name for link in model.links if link.name not in parents]
+    roots = sorted(link.name for link in model.links if link.name not in parents)
 
     def by_name(link: str) -> list[Joint]:  # popped first by name, ties in document order
         return sorted((joint for joint, _ in children.get(link, ())), key=lambda j: j.name)[::-1]
@@ -170,7 +170,7 @@ def _joint_graph(model: RobotModel) -> _JointGraph:
         problems.append(("disconnected", ", ".join(unreachable),
                          f"{len(unreachable)} links unreachable from root"))
     problems += [("shared", name, f"link '{name}' is the child of several joints")
-                 for name in children if parents.get(name, 0) > 1]
+                 for name in sorted(children) if parents.get(name, 0) > 1]
     return _JointGraph(children=children, roots=roots, joints=joints, problems=problems)
 
 

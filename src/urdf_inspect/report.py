@@ -151,11 +151,8 @@ def licenses_table(rows: list[tuple[str, LicenseId]]) -> ReportTable:
 
 
 def contact_table(markers: list[ContactMarkers]) -> ReportTable:
-    rows = (
-        ("author", sum(m.author for m in markers)),
-        ("at_sign", sum(m.at_sign for m in markers)),
-        ("dot_com", sum(m.dot_com for m in markers)),
-    )
+    rows = tuple((name, sum(getattr(m, name) for m in markers))
+                 for name in ("author", "at_sign", "dot_com"))
     return ReportTable("contact", ("marker", "files"), rows)
 
 

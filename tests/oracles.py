@@ -288,7 +288,7 @@ def oracle_graph_problems(model) -> list[tuple[str, str, str]]:
         return seen
 
     child_of = [j.child for j in model.joints]
-    roots = [name for name in links if name not in child_of]
+    roots = sorted(name for name in links if name not in child_of)
     reached = set(roots).union(*(reach(root) for root in roots))
     unreachable = sorted(name for name in declared if name not in reached)
     robot = model.name or "robot"
@@ -303,7 +303,7 @@ def oracle_graph_problems(model) -> list[tuple[str, str, str]]:
         problems.append(("disconnected", ", ".join(unreachable),
                          f"{len(unreachable)} links unreachable from root"))
     problems += [("shared", name, f"link '{name}' is the child of several joints")
-                 for name in declared if child_of.count(name) > 1]
+                 for name in sorted(declared) if child_of.count(name) > 1]
     return problems
 
 

@@ -3,6 +3,7 @@ import errno
 import gc
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import urdf_inspect
-from urdf_inspect import bundles, cli, compare, report
+from urdf_inspect import bundles, cli, compare, dedup, report
 from urdf_inspect.cli import run_cli
 from urdf_inspect.model import RobotModel
 
@@ -29,6 +30,19 @@ def listing1_file(tmp_path):
 def read_csv(path: Path):
     with path.open(newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def _unreadable(monkeypatch, hit) -> None:
+    """Make ``dedup._open``, which every file read goes through, fail with
+    ``Permission denied`` for each path that ``hit`` accepts."""
+    real_open = dedup._open
+
+    def failing(path):
+        if hit(path):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return real_open(path)
+
+    monkeypatch.setattr(dedup, "_open", failing)
 
 
 class TestValidateCommand:
@@ -139,6 +153,17 @@ def test_broken_link_is_an_f_row(tmp_path, command, target, reason):
         ["x.urdf", "error", "F", "document", "0", f"cannot read file: {reason}"]]
 
 
+@pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="needs unix sockets")
+@pytest.mark.parametrize("command", ["validate", "inspect"])
+def test_socket_is_not_a_regular_file(tmp_path, command):
+    path, out = tmp_path / "x.urdf", tmp_path / "out"
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.bind(str(path))
+        assert run_cli(["--out", str(out), command, str(path)]) == 1
+    assert read_csv(out / "parsing_errors.csv")[1:] == [
+        ["x.urdf", "error", "F", "document", "0", "cannot read file: not a regular file"]]
+
+
 EXPECTED_TABLES = {
     "structures", "xacro", "parsing_errors", "mesh_types", "duplicates",
     "duplicates_cross_source", "discrepancies", "licenses", "contact",
@@ -219,14 +244,7 @@ class TestScanCommand:
         (root / "s1" / "b" / "r.urdf").write_text(simple_urdf("r"))
         if accident == "unreadable":
             (root / "s2" / "b" / "r.urdf").write_text(simple_urdf("r"))
-            read_bytes = Path.read_bytes
-
-            def failing(path):
-                if path.parts[-3] == "s2":
-                    raise PermissionError(13, "Permission denied", str(path))
-                return read_bytes(path)
-
-            monkeypatch.setattr(Path, "read_bytes", failing)
+            _unreadable(monkeypatch, lambda path: path.parts[-3:] == ("s2", "b", "r.urdf"))
         out = tmp_path / "reports"
         assert run_cli(["--out", str(out), "compare", str(root)]) == 0
         assert read_csv(out / "discrepancies.csv")[1:] == [
@@ -237,14 +255,7 @@ class TestScanCommand:
         assert run_cli(["scan", str(tmp_path / "nope")]) == 3
 
     def test_unreadable_urdf_is_an_f_row(self, small_corpus, tmp_path, monkeypatch):
-        read_bytes = Path.read_bytes
-
-        def failing(path):
-            if path.name == "gripper.urdf":
-                raise PermissionError(13, "Permission denied", str(path))
-            return read_bytes(path)
-
-        monkeypatch.setattr(Path, "read_bytes", failing)
+        _unreadable(monkeypatch, lambda path: path.name == "gripper.urdf")
         out = tmp_path / "reports"
         assert run_cli(["--out", str(out), "scan", str(small_corpus)]) == 0
         rows = [row for row in read_csv(out / "parsing_errors.csv")[1:]
@@ -411,6 +422,21 @@ class TestScanCommand:
         assert tables == sorted(p.name for p in outs[1].iterdir())
         for name in tables:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["scan", "compare", "dupes", "stats"])
+    def test_linked_source_named_once_and_gives_no_record(self, tmp_path, capsys, command):
+        root = tmp_path / "corpus"
+        write_bundle(write_source(root, "s1"), "one_description", simple_urdf("one"),
+                     robot_name="one")
+        symlink("s1", root / "s2")
+        assert [r.source_name for r in bundles.scan_corpus(root, [])] == ["s1"]
+        out = tmp_path / "reports"
+        assert run_cli(["--out", str(out), command, str(root)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: cannot list {root / 's2'}: linked directory, not followed"]
+        if command == "scan":  # the link's source-information.json also names it s1
+            assert read_csv(out / "structures.csv")[1:] == [["s1", "1", "0", "0", "0", "0"],
+                                                            ["total", "1", "0", "0", "0", "0"]]
 
     def test_two_runs_byte_identical(self, small_corpus, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -732,7 +758,8 @@ def test_scan_tables_match_full_model_oracle(tmp_path, monkeypatch):
             raise PermissionError(13, "Permission denied", str(path))
         return read_bytes(path)
 
-    monkeypatch.setattr(Path, "read_bytes", failing)
+    monkeypatch.setattr(Path, "read_bytes", failing)  # as the oracle reads
+    _unreadable(monkeypatch, lambda path: path.name == "locked.urdf")  # as the CLI reads
     expected = oracle_bundle_tables(root)
     # the F and D files were read, so their markers count; neither gives a model
     assert expected[2].rows == (("author", 2), ("at_sign", 2), ("dot_com", 1))

@@ -2,13 +2,16 @@
 
 Small generated corpora (2-3 sources of 1-4 bundles, the first bundle of
 the first two sources always the same robot) are built in a temporary
-directory and run in-process; one fixed corpus holds every odd entry at
-once and runs each corpus command in a subprocess with a timeout.
+directory and run in-process.  Where odd entries (named pipes, a
+directory named like a URDF, dangling and linked paths) are mixed in,
+each corpus command runs in a subprocess with a timeout, as it does on
+one fixed corpus that holds every odd entry at once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import fnmatch
 import io
 import os
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import urdf_inspect
-from urdf_inspect.bundles import scan_corpus
+from urdf_inspect.bundles import classify_structure, scan_corpus
 from urdf_inspect.cli import run_cli
 
 from conftest import LISTING1, simple_urdf, symlink, write_bundle, write_source
@@ -135,6 +138,125 @@ def test_compare_writes_scans_discrepancies(plan):
         assert b"\narm," in compared["discrepancies.csv"]
 
 
+def _bundle_dirs(source: Path) -> list[Path]:
+    return sorted(p for p in source.iterdir() if p.is_dir())
+
+
+@properties
+@given(corpora, st.data())
+def test_renaming_a_bundle_within_its_class_changes_only_path_cells(plan, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp, "corpus")
+        _build(root, plan)
+        before = _scan_tables(root, Path(tmp, "before"))
+        source = root / f"s{data.draw(st.integers(0, len(plan) - 1))}"
+        bundle = data.draw(st.sampled_from(_bundle_dirs(source)))
+        # a tag after the bundle's index keeps its class and its place in every sort
+        robot_index, suffix = bundle.name.split("_", 1)
+        tag = data.draw(st.text("xyz", min_size=1, max_size=3))
+        renamed = bundle.with_name(f"{robot_index}{tag}_{suffix}")
+        structure = classify_structure(bundle)
+        bundle.rename(renamed)
+        assert classify_structure(renamed) == structure
+        after = _scan_tables(root, Path(tmp, "after"))
+        assert {name: table.replace(renamed.name.encode(), bundle.name.encode())
+                for name, table in after.items()} == before
+
+
+def _groups(out: Path) -> dict[str, set[str]]:
+    """The members of the duplicate group of each path in ``duplicates.csv``."""
+    with (out / "duplicates.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    members = {row["group_id"]: {r["path"] for r in rows if r["group_id"] == row["group_id"]}
+               for row in rows}
+    return {row["path"]: members[row["group_id"]] for row in rows}
+
+
+@properties
+@given(corpora, st.sampled_from(MESHES[1:3]), st.sampled_from(["crlf", "blanks"]))
+def test_text_mesh_copy_lands_in_its_originals_group(plan, mesh, variant):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp, "corpus")
+        _build(root, plan)
+        original = _bundle_dirs(root / "s0")[0] / "meshes" / "m.stl"
+        original.write_bytes(mesh)
+        copy = _bundle_dirs(root / f"s{len(plan) - 1}")[-1] / "meshes" / "copy.stl"
+        if variant == "crlf":
+            copy.write_bytes(mesh.replace(b"\r\n", b"\n").replace(b"\n", b"\r\n"))
+        else:  # blanks after the first token
+            copy.write_bytes(mesh.replace(b"solid", b"solid \t ", 1))
+        out = Path(tmp, "out")
+        _scan_tables(root, out, "dupes")
+        groups = _groups(out)
+        rel = original.relative_to(root).as_posix()
+        assert copy.relative_to(root).as_posix() in groups[rel]
+
+
+ODD_KINDS = ("pipe_urdf", "pipe_mesh", "pipe_meta", "dir_urdf", "dangling", "linked_bundle",
+             "linked_source")
+
+
+def _add_odd(root: Path, kinds: set[str], source_of) -> tuple[list[str], list[Path]]:
+    """Add odd entries of ``kinds``, each in the source ``source_of`` draws;
+    returns the ``parsing_errors`` file cell of each odd URDF, and each
+    linked directory."""
+    odd_urdfs, links = [], []
+    first = {source.name: _bundle_dirs(source)[0] for source in root.iterdir()}
+    for kind in sorted(kinds):
+        source = root / f"s{source_of(kind)}"
+        bundle = first[source.name]
+        if kind == "pipe_urdf":  # the first bundle's described URDF
+            urdf = next(p for p in bundle.rglob("*.urdf") if p.name != "extra.urdf")
+            urdf.unlink()
+            os.mkfifo(urdf)
+            odd_urdfs.append(f"{source.name}/{bundle.name}")
+        elif kind == "pipe_mesh":
+            os.mkfifo(bundle / "meshes" / "pipe.stl")
+        elif kind == "pipe_meta":
+            (source / "fifo_description").mkdir()
+            os.mkfifo(source / "fifo_description" / "meta-information.json")
+        elif kind == "dir_urdf":
+            (source / "x.urdf").mkdir()
+            odd_urdfs.append(f"{source.name}/x.urdf")
+        elif kind == "dangling":
+            os.symlink("gone.urdf", source / "dangling.urdf")
+            odd_urdfs.append(f"{source.name}/dangling.urdf")
+        elif kind == "linked_bundle":
+            links.append(source / "linked_description")
+            os.symlink(f"../s0/{first['s0'].name}", links[-1])
+        else:  # a source
+            links.append(root / "linked_source")
+            os.symlink(source.name, links[-1])
+    return odd_urdfs, links
+
+
+def _run(command: str, root: Path, out: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(urdf_inspect.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "urdf_inspect.cli", "--out", str(out),
+                           command, str(root)],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(corpora, st.sets(st.sampled_from(ODD_KINDS), min_size=1), st.data())
+def test_odd_entries_in_generated_corpora(plan, kinds, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp, "corpus")
+        _build(root, plan)
+        odd_urdfs, links = _add_odd(root, kinds,
+                                    lambda kind: data.draw(st.integers(0, len(plan) - 1), kind))
+        for command in ("scan", "compare", "dupes", "stats"):
+            run = _run(command, root, Path(tmp, command))
+            assert run.returncode == 0, run.stderr
+            for link in links:
+                assert run.stderr.count(
+                    f"warning: cannot list {link}: linked directory, not followed") == 1, command
+        with Path(tmp, "scan", "parsing_errors.csv").open(newline="") as fh:
+            f_rows = Counter(row[0] for row in csv.reader(fh) if row[2] == "F")
+        assert {file: f_rows[file] for file in odd_urdfs} == dict.fromkeys(odd_urdfs, 1)
+
+
 @pytest.fixture
 def odd_corpus(tmp_path: Path) -> Path:
     """A small corpus holding every odd entry at once."""
@@ -160,10 +282,7 @@ def odd_corpus(tmp_path: Path) -> Path:
 
 @pytest.mark.parametrize("command", ["scan", "compare", "dupes", "stats"])
 def test_odd_entries_never_stop_a_run(odd_corpus, tmp_path, command):
-    env = dict(os.environ, PYTHONPATH=str(Path(urdf_inspect.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-m", "urdf_inspect.cli", "--out", str(tmp_path / "out"),
-                          command, str(odd_corpus)],
-                         env=env, capture_output=True, text=True, timeout=60)
+    run = _run(command, odd_corpus, tmp_path / "out")
     assert run.returncode == 0, run.stderr
     link = odd_corpus / "s2" / "linked_description"
     assert run.stderr.count(f"warning: cannot list {link}: linked directory, not followed") == 1

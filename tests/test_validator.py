@@ -230,6 +230,32 @@ def test_build_tree_fails_iff_sanity_warns(graph):
 
 
 @st.composite
+def declaration_orders(draw):
+    """A joint graph and an order of its link and joint declarations, as
+    indices into links + joints."""
+    links, edges = draw(joint_graphs())
+    return links, edges, draw(st.permutations(range(links + len(edges))))
+
+
+@given(declaration_orders())
+@example((3, [(1, 2, "fixed")], [2, 1, 0, 3]))  # roots l0 and l1, l1 declared first
+@example((4, [(0, 2, "fixed"), (1, 2, "fixed"), (0, 3, "fixed"), (1, 3, "fixed")],
+          [3, 2, 1, 0, 4, 5, 6, 7]))  # l2 and l3 each the child of two joints, l3 declared first
+def test_declaration_order_changes_no_w_other_row(graph):
+    links, edges, order = graph
+    declarations = [f'<link name="l{i}"/>' for i in range(links)]
+    declarations += [joint(kind, name=f"j{n}", parent=f"l{p}", child=f"l{c}")
+                     for n, (p, c, kind) in enumerate(edges)]
+
+    def w_other_rows(body: list[str]) -> list[tuple[str, str]]:
+        result = validate(f'<robot name="r">{"".join(body)}</robot>')
+        diags = result.diagnostics + kinematic_sanity(result.model)
+        return [(d.subject, d.message) for d in diags if d.code == "W_OTHER"]
+
+    assert w_other_rows([declarations[i] for i in order]) == w_other_rows(declarations)
+
+
+@st.composite
 def raw_joint_graphs(draw):
     """Models no validation vetted: link names may repeat or be missing,
     and joints may name undeclared links ("e", "f")."""
