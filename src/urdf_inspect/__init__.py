@@ -13,7 +13,6 @@ from .bundles import (
     mesh_inventory,
     model_stats,
     name_substring_stats,
-    resolve_mesh_uri,
     scan_corpus,
 )
 from .compare import DiscrepancyReport, compare_group, find_multiply_defined, robot_key

@@ -8,10 +8,13 @@ meta file plus the URDF and mesh files it describes.
 One rule, ``_entered``, picks the directories entered, the sources and
 each level of ``_walk`` alike: no hidden one (named ``.*``) and no linked
 one, which is named instead.  Every file is read through ``dedup._open``.
+``scan_corpus`` walks each source twice; one more ``_walk`` of the corpus
+root is all ``classify_structure`` and ``detect_license`` read of disk.
 """
 
 from __future__ import annotations
 
+import bisect
 import fnmatch
 import json
 import os
@@ -36,7 +39,6 @@ __all__ = [
     "classify_structure",
     "detect_xacro_generated",
     "mesh_inventory",
-    "resolve_mesh_uri",
     "detect_license",
     "contact_markers",
     "name_substring_stats",
@@ -160,19 +162,37 @@ def _entered(top: str, dirs: list[str], onerror) -> list[str]:
     return entered
 
 
-def _walk(base: Path, pattern: str = "*", errors: list[OSError] | None = None) -> list[Path]:
-    """Files and directories below ``base`` whose name matches ``pattern``, in
-    path order, but no hidden one; only what ``_entered`` enters is entered.
+@dataclass(frozen=True)
+class _Listing:
+    """Path strings below a directory, in ``str`` order, and every directory listed."""
+
+    paths: list[str]
+    dirs: set[str]
+
+    def below(self, directory: str) -> list[str]:
+        """The slice of ``paths`` below ``directory``: those starting with it and a separator."""
+        start = bisect.bisect_left(self.paths, directory + os.sep)
+        return self.paths[start:bisect.bisect_left(self.paths, directory + chr(ord(os.sep) + 1))]
+
+
+def _walk(base: Path, pattern: str = "*", errors: list[OSError] | None = None) -> _Listing:
+    """The files and directories below ``base`` whose name matches
+    ``pattern``, spelled as ``Path`` spells them, but no hidden one; only
+    what ``_entered`` enters is entered, though a linked directory is listed.
     Each directory that cannot be listed or is linked gives an ``OSError``
     naming it, appended to ``errors``, or named on stderr if ``errors`` is None."""
-    found: list[Path] = []
+    listing = _Listing([], set())
     onerror = _warn_unlistable if errors is None else errors.append
+    cut = len(os.curdir + os.sep) if os.fspath(base) == os.curdir else 0  # "./x" is Path's "x"
     # links are pruned below, which spares os.walk its own link test of each directory
     for top, dirs, files in os.walk(base, onerror=onerror, followlinks=True):
-        found += [Path(top, name) for name in fnmatch.filter(dirs + files, pattern)
-                  if not name.startswith(".")]
+        top = top[cut:]
+        listing.dirs.update(os.path.join(top, name) for name in dirs if not name.startswith("."))
+        listing.paths.extend(os.path.join(top, name) for name in
+                             fnmatch.filter(dirs + files, pattern) if not name.startswith("."))
         dirs[:] = _entered(top, dirs, onerror)
-    return sorted(found)
+    listing.paths.sort()
+    return listing
 
 
 def _corpus_root(root: Path | str) -> Path:
@@ -228,7 +248,7 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
 
         described: set[str] = set()  # real paths: a symlink loop has one, where resolve() raises
         source_records: list[BundleRecord] = []
-        for meta_path in _walk(source_dir, "meta-information.json", errors):
+        for meta_path in sorted(map(Path, _walk(source_dir, "meta-information.json", errors).paths)):
             bundle_dir = meta_path.parent
             data = _load_json(meta_path)
             entries = [e for e in (data if isinstance(data, list) else [data]) if isinstance(e, dict)]
@@ -247,7 +267,7 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
                     described.add(os.path.realpath(bundle_dir / rel))
                 source_records.append(_record(source, bundle_dir, Path(rel), entry, "", *notices))
 
-        for urdf in _walk(source_dir, "*.urdf", errors):
+        for urdf in sorted(map(Path, _walk(source_dir, "*.urdf", errors).paths)):
             if os.path.realpath(urdf) not in described:
                 source_records.append(_record(source, urdf.parent, Path(urdf.name), {},
                                               str(urdf.relative_to(source_dir)),
@@ -273,33 +293,30 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
 _SUPPORT_NAME = re.compile(r".+_.+_support")
 
 
-def _has_layout(bundle_dir: Path, urdf_folder: str, errors: list[OSError] | None) -> bool:
-    folder = bundle_dir / urdf_folder
-    if not folder.is_dir() or not (bundle_dir / "meshes").is_dir():
-        return False
-    return bool(_walk(folder, "*.urdf", errors))
+def _has_layout(bundle_dir: Path, urdf_folder: str, listing: _Listing) -> bool:
+    folder = os.path.join(bundle_dir, urdf_folder)
+    return ({folder, os.path.join(bundle_dir, "meshes")} <= listing.dirs
+            and any(path.endswith(".urdf") for path in listing.below(folder)))
 
 
-def classify_structure(bundle_dir: Path | str,
-                       errors: list[OSError] | None = None) -> StructureClass:
+def classify_structure(bundle_dir: Path | str, listing: _Listing | None = None) -> StructureClass:
     """Assign exactly one folder-structure class to a bundle directory.
 
     Checks run in order of specificity D, C, B, A; anything else is
     Other.  A directory whose name suggests one class but whose URDF
     location matches a more specific one takes the more specific class.
-    A directory that cannot be listed is reported as ``_walk`` reports it.
+    The layout is looked up in ``listing``, a ``_walk`` that holds the
+    bundle directory, or in a walk of the directory itself, which names
+    what it skips on stderr.  A linked layout folder is not entered.
     """
     bundle_dir = Path(bundle_dir)
-    name = bundle_dir.name
-    if name.endswith("visualization") and _has_layout(bundle_dir, "urdf", errors):
-        return StructureClass.D
-    if name.endswith("_description") and _has_layout(bundle_dir, "robots", errors):
-        return StructureClass.C
-    if _SUPPORT_NAME.fullmatch(name) and _has_layout(bundle_dir, "urdf", errors):
-        return StructureClass.B
-    if name.endswith("_description") and _has_layout(bundle_dir, "urdf", errors):
-        return StructureClass.A
-    return StructureClass.OTHER
+    name, listing = bundle_dir.name, listing or _walk(bundle_dir)
+    classes = ((StructureClass.D, name.endswith("visualization"), "urdf"),
+               (StructureClass.C, name.endswith("_description"), "robots"),
+               (StructureClass.B, _SUPPORT_NAME.fullmatch(name), "urdf"),
+               (StructureClass.A, name.endswith("_description"), "urdf"))
+    return next((cls for cls, named, folder in classes
+                 if named and _has_layout(bundle_dir, folder, listing)), StructureClass.OTHER)
 
 
 # --------------------------------------------------------------------------
@@ -329,27 +346,6 @@ def _extension_class(uri: str) -> str:
     return ext if ext in MESH_EXTENSIONS else "other"
 
 
-def resolve_mesh_uri(bundle_dir: Path | str, uri: str) -> Path | None:
-    """Locate a referenced mesh file on disk, or None if it is missing.
-
-    ``package://<pkg>/...`` URIs resolve by dropping the scheme and
-    package segment and joining the rest to the bundle directory;
-    plain relative paths join directly.  Inventory counting never
-    depends on this: a dangling reference still counts by extension.
-    """
-    bundle_dir = Path(bundle_dir)
-    path = uri.replace("\\", "/")
-    if path.startswith("package://"):
-        path = path[len("package://"):]
-        path = path.split("/", 1)[1] if "/" in path else ""
-    elif path.startswith("file://"):
-        path = path[len("file://"):]
-    candidate = (bundle_dir / path) if path else None
-    if candidate is not None and candidate.is_file():
-        return candidate
-    return None
-
-
 def mesh_inventory(model: RobotModel) -> MeshInventory:
     """Count mesh references by extension class, split by usage."""
     def count(usage: str) -> dict[str, int]:
@@ -375,14 +371,13 @@ def _fingerprint(text: str) -> LicenseId | None:
     return None
 
 
-def detect_license(bundle_dir: Path | str, errors: list[OSError] | None = None) -> LicenseId:
-    """Fingerprint LICENSE/COPYING-style files under a bundle directory,
-    skipping hidden entries and what ``dedup._open`` cannot open.  A
-    directory that cannot be listed is reported as ``_walk`` reports it."""
+def detect_license(bundle_dir: Path | str, listing: _Listing | None = None) -> LicenseId:
+    """Fingerprint LICENSE/COPYING-style files under a bundle directory, in
+    ``str`` order, skipping what ``dedup._open`` cannot open.  They are
+    looked up as ``classify_structure`` looks up a layout."""
     bundle_dir = Path(bundle_dir)
-    candidates = sorted((p for p in _walk(bundle_dir, "*", errors)
-                         if _LICENSE_FILE.match(p.name)), key=str)
-    for path in candidates:
+    paths = _walk(bundle_dir).paths if listing is None else listing.below(str(bundle_dir))
+    for path in (p for p in paths if _LICENSE_FILE.match(os.path.basename(p))):
         try:
             with dedup._open(path) as fh:
                 text = fh.read().decode("utf-8", errors="replace")

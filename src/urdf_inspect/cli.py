@@ -16,7 +16,9 @@ banner, contact markers, mesh inventory, name-term counts and link and
 joint counts.  Under scan and compare, each multiply defined robot is
 compared as soon as its members load, so no parsed model outlives its group.
 Every file is read through ``dedup._open``, and directories are entered
-by the rule of ``bundles._entered``: no hidden or linked one.
+by the rule of ``bundles._entered``: no hidden or linked one.  Each source
+is walked twice for its bundles; scan, stats and dupes walk the root once
+more, and their structures, licenses and dupes tables read only that walk.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage error,
 3 I/O failure.
@@ -103,7 +105,8 @@ def run_cli(argv: list[str]) -> int:
             tables = _dupes_tables(corpus)
         else:  # stats lists scan's last four tables in reverse
             tables = _stats_tables(corpus)[::-1]
-        for exc in {e.filename: e for e in corpus.skipped}.values():  # each directory once
+        # each directory once, however the walks that met it spelled it
+        for exc in {os.path.normpath(e.filename): e for e in corpus.skipped}.values():
             bundles._warn_unlistable(exc)
         _emit_tables(args, tables)
         return EXIT_OK
@@ -145,6 +148,7 @@ class _Corpus:
     entries: list[_Entry]
     discrepancies: list[tuple[str, str, str, compare.DiscrepancyReport]]  # sorted rows, if compared
     skipped: list[OSError]  # directories a walk did not enter, repeats included
+    listing: bundles._Listing | None  # the root's, under every command but compare
 
 
 def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnostic]]:
@@ -198,7 +202,9 @@ def _load_corpus(args: argparse.Namespace) -> _Corpus:
                   key=lambda row: row[:2])  # by robot name, then manufacturer
     entries = [] if args.command == "compare" else [
         members.pop(id(r), None) or _load_entry(r, facts)[0] for r in records]
-    return _Corpus(bundles._corpus_root(args.root), entries, rows, skipped)
+    root = bundles._corpus_root(args.root)
+    listing = None if args.command == "compare" else bundles._walk(root, "*", skipped)
+    return _Corpus(root, entries, rows, skipped, listing)
 
 
 def _compare(args: argparse.Namespace, group: list[BundleRecord], facts: bool,
@@ -221,7 +227,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     path: Path = args.path
     # a path named *.urdf is one file, as in the tree walk, even if it is a directory
     walk = path.is_dir() and not path.match("*.urdf")
-    files = bundles._walk(path, "*.urdf") if walk else [path]
+    files = sorted(map(Path, bundles._walk(path, "*.urdf").paths)) if walk else [path]
 
     rows: list[tuple[str, Diagnostic]] = []
     failed = False
@@ -248,7 +254,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 def _corpus_tables(corpus: _Corpus) -> list[report.ReportTable]:
     structure_rows = [(e.record.source_name,
-                       bundles.classify_structure(e.record.root_dir, corpus.skipped))
+                       bundles.classify_structure(e.record.root_dir, corpus.listing))
                       for e in corpus.entries]
     xacro_rows = [(e.record.source_name, e.record.xacro_generated_by_dataset, e.xacro_banner)
                   for e in corpus.entries]
@@ -270,7 +276,7 @@ def _stats_tables(corpus: _Corpus) -> list[report.ReportTable]:
     parsed = [e for e in corpus.entries if e.size is not None]
     return [
         report.licenses_table([(e.record.source_name,
-                                bundles.detect_license(e.record.root_dir, corpus.skipped))
+                                bundles.detect_license(e.record.root_dir, corpus.listing))
                                for e in corpus.entries]),
         report.contact_table([e.contact for e in corpus.entries if e.contact is not None]),
         report.name_stats_table([(e.record.source_name, e.name_terms) for e in parsed]),
@@ -280,8 +286,8 @@ def _stats_tables(corpus: _Corpus) -> list[report.ReportTable]:
 
 
 def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
-    files = [p for p in bundles._walk(corpus.root, "*", corpus.skipped)
-             if p.is_file() and p.name not in ("source-information.json", "meta-information.json")]
+    files = [p for p in corpus.listing.paths if p not in corpus.listing.dirs
+             and os.path.basename(p) not in ("source-information.json", "meta-information.json")]
     io_errors: list = []
     groups = dedup.find_duplicates(files, errors=io_errors)
     for path, exc in io_errors:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from urdf_inspect import bundles
 from urdf_inspect.bundles import (
     LicenseId,
     StructureClass,
@@ -15,7 +16,6 @@ from urdf_inspect.bundles import (
     mesh_inventory,
     model_stats,
     name_substring_stats,
-    resolve_mesh_uri,
     scan_corpus,
 )
 from urdf_inspect.model import parse_urdf
@@ -252,6 +252,11 @@ class TestClassifyStructure:
     def test_support_needs_two_name_parts(self, tmp_path):
         assert classify_structure(make_layout(tmp_path, "kr6_support")) is StructureClass.OTHER
 
+    def test_urdf_beside_an_empty_layout_folder_is_other(self, tmp_path):
+        bundle = make_layout(tmp_path, "abc_description", urdf_folder="urdf2")
+        (bundle / "urdf").mkdir()  # its name is a prefix of the folder holding the URDF
+        assert classify_structure(bundle) is StructureClass.OTHER
+
     def test_hidden_urdf_does_not_make_a_layout(self, tmp_path):
         bundle = make_layout(tmp_path, "abc_description", urdf_in_folder=False)
         (bundle / "urdf" / ".backup").mkdir()
@@ -319,23 +324,6 @@ class TestMeshInventory:
         </robot>"""
         assert mesh_inventory(a) == mesh_inventory(parse_urdf(text))
 
-
-class TestResolveMeshUri:
-    def test_package_uri(self, tmp_path):
-        (tmp_path / "meshes").mkdir()
-        target = tmp_path / "meshes" / "arm.stl"
-        target.write_bytes(b"solid\n")
-        assert resolve_mesh_uri(tmp_path, "package://my_robot/meshes/arm.stl") == target
-
-    def test_relative_path(self, tmp_path):
-        (tmp_path / "meshes").mkdir()
-        target = tmp_path / "meshes" / "arm.dae"
-        target.write_text("<COLLADA/>")
-        assert resolve_mesh_uri(tmp_path, "meshes/arm.dae") == target
-
-    def test_missing_file_is_none(self, tmp_path):
-        assert resolve_mesh_uri(tmp_path, "package://pkg/meshes/gone.stl") is None
-
     def test_dangling_reference_still_counted(self):
         model = parse_urdf(simple_urdf(visual_mesh="package://pkg/nowhere.stl"))
         assert mesh_inventory(model).visual == {"stl": 1}
@@ -388,7 +376,8 @@ class TestLicenseDetection:
         assert capsys.readouterr().err.splitlines() == [
             f"warning: cannot list {bundle / 'legal'}: linked directory, not followed"]
         errors: list[OSError] = []
-        assert detect_license(bundle, errors) is LicenseId.UNKNOWN  # a list collects it
+        listing = bundles._walk(bundle, "*", errors)  # a list collects it
+        assert detect_license(bundle, listing) is LicenseId.UNKNOWN
         assert capsys.readouterr().err == ""
         assert [(e.filename, e.strerror) for e in errors] == [
             (str(bundle / "legal"), "linked directory, not followed")]

@@ -395,10 +395,12 @@ class TestScanCommand:
         ("s2/b_description", "../s1/b_description"),  # a bundle linked into a second source
         ("s1/b_description/meshes", "../c_description/meshes"),  # holds a mesh and a LICENSE
         ("s1/b_description/d", "."),  # a loop
+        ("s1/b_description/urdf", "../../../elsewhere"),  # the layout folder, outside the corpus
     ])
     def test_linked_directory_named_once_and_not_entered(self, tmp_path, capsys, link, target):
         # against the same corpus with an empty directory in the link's place
         outs = []
+        layout = link.endswith("/urdf")
         for linked in (False, True):
             root = tmp_path / f"corpus_{linked}"
             s1, s2 = write_source(root, "s1"), write_source(root, "s2")
@@ -408,19 +410,27 @@ class TestScanCommand:
                              meshes={"m.stl": b"solid m\nendsolid\n"},
                              license_text="Permission is hereby granted, free of charge")
             path = root / link
+            warning = [f"warning: cannot list {path}: linked directory, not followed"] \
+                if linked else []
+            if layout:  # its URDF moves to where the link points
+                (tmp_path / "elsewhere").mkdir(exist_ok=True)
+                (path / "b.urdf").replace(tmp_path / "elsewhere" / "b.urdf")
             if path.is_dir():
                 path.rmdir()
             if linked:
                 symlink(target, path)
             else:
                 path.mkdir()
+            if layout:  # a standalone call names the link and does not enter it either
+                assert bundles.classify_structure(path.parent) is bundles.StructureClass.OTHER
+                assert capsys.readouterr().err.splitlines() == warning
             outs.append(tmp_path / f"reports_{linked}")
             assert run_cli(["--out", str(outs[-1]), "scan", str(root)]) == 0
-            assert capsys.readouterr().err.splitlines() == (
-                [f"warning: cannot list {path}: linked directory, not followed"] if linked else [])
+            assert capsys.readouterr().err.splitlines() == warning
         tables = sorted(p.name for p in outs[0].iterdir())
         assert tables == sorted(p.name for p in outs[1].iterdir())
-        for name in tables:
+        # a linked layout folder's URDF is still read through the link: other tables differ
+        for name in ["structures.csv"] if layout else tables:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     @pytest.mark.parametrize("command", ["scan", "compare", "dupes", "stats"])
@@ -437,6 +447,46 @@ class TestScanCommand:
         if command == "scan":  # the link's source-information.json also names it s1
             assert read_csv(out / "structures.csv")[1:] == [["s1", "1", "0", "0", "0", "0"],
                                                             ["total", "1", "0", "0", "0", "0"]]
+
+    @pytest.mark.parametrize("command", ["scan", "stats", "dupes", "compare"])
+    def test_one_walk_of_the_root_and_no_stat_of_a_listed_path(self, small_corpus, tmp_path,
+                                                              monkeypatch, command):
+        calls = []
+        walk = os.walk
+        monkeypatch.setattr(os, "walk", lambda *args, **kwargs: calls.append("walk")
+                            or walk(*args, **kwargs))
+        is_file = Path.is_file
+        monkeypatch.setattr(Path, "is_file", lambda path: calls.append("is_file")
+                            or is_file(path))
+        assert run_cli(["--out", str(tmp_path / "reports"), command, str(small_corpus)]) == 0
+        sources = 2  # two walks each find the bundles, and one more lists the root
+        assert calls == ["walk"] * (2 * sources + (command != "compare"))
+
+    @pytest.mark.parametrize("command", ["scan", "dupes", "stats"])
+    def test_root_given_as_dot_gives_the_same_tables_and_warnings(self, small_corpus, tmp_path,
+                                                                  monkeypatch, capsys, command):
+        (small_corpus / "alpha" / "planar_description" / "LICENSE").write_text(
+            "Permission is hereby granted, free of charge, to any person")
+        # a source walk and the root walk meet meshes/; from ".", they spell it differently
+        meshes = small_corpus / "alpha" / "gripper_description" / "meshes"
+        scandir = os.scandir
+
+        def failing(path="."):
+            if os.path.abspath(path) == str(meshes):
+                raise PermissionError(13, "Permission denied", str(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", failing)
+        assert run_cli(["--out", str(tmp_path / "whole"), command, str(small_corpus)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: cannot list {meshes}: Permission denied"]
+        monkeypatch.chdir(small_corpus)
+        assert run_cli(["--out", str(tmp_path / "dot"), command, "."]) == 0
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.endswith(f"{meshes.relative_to(small_corpus)}: Permission denied")
+        whole, dot = ({p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+                      for out in ("whole", "dot"))
+        assert dot == whole
 
     def test_two_runs_byte_identical(self, small_corpus, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

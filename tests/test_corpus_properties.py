@@ -25,7 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import urdf_inspect
-from urdf_inspect.bundles import classify_structure, scan_corpus
+from urdf_inspect import report
+from urdf_inspect.bundles import classify_structure, detect_license, scan_corpus
 from urdf_inspect.cli import run_cli
 
 from conftest import LISTING1, simple_urdf, symlink, write_bundle, write_source
@@ -163,6 +164,36 @@ def test_renaming_a_bundle_within_its_class_changes_only_path_cells(plan, data):
                 for name, table in after.items()} == before
 
 
+# the first name is a string prefix of the others; as paths, "a_description-x/" sorts first
+SIBLINGS = ("a_description", "a_description2", "a_description-x")
+LAYOUTS = st.sampled_from(("urdf", "robots", "urdf2"))  # urdf2: beside an empty urdf/
+
+
+@properties
+@given(corpora, st.lists(LAYOUTS, min_size=3, max_size=3), st.booleans(), st.data())
+def test_scan_reads_each_bundle_from_its_slice_of_the_listing(plan, layouts, licensed_x, data):
+    """scan's structures and licenses tables are those of standalone calls,
+    which walk each bundle directory, over the records of scan_corpus."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp, "corpus")
+        _build(root, plan)
+        source = root / f"s{data.draw(st.integers(0, len(plan) - 1))}"
+        for name, layout, licensed in zip(SIBLINGS, layouts, (False, True, licensed_x)):
+            bundle = write_bundle(source, name, simple_urdf("a"), robot_name="a",
+                                  urdf_folder=layout, license_text=MIT if licensed else None)
+            if layout == "urdf2":
+                (bundle / "urdf").mkdir()
+        tables = _scan_tables(root, Path(tmp, "scan"))
+        records = scan_corpus(root, [])
+        for table in (report.structures_table([(r.source_name, classify_structure(r.root_dir))
+                                               for r in records]),
+                      report.licenses_table([(r.source_name, detect_license(r.root_dir))
+                                             for r in records])):
+            rebuilt = io.BytesIO()
+            report.emit(table, "csv", rebuilt)
+            assert rebuilt.getvalue() == tables[f"{table.name}.csv"], table.name
+
+
 def _groups(out: Path) -> dict[str, set[str]]:
     """The members of the duplicate group of each path in ``duplicates.csv``."""
     with (out / "duplicates.csv").open(newline="") as fh:
@@ -286,3 +317,6 @@ def test_odd_entries_never_stop_a_run(odd_corpus, tmp_path, command):
     assert run.returncode == 0, run.stderr
     link = odd_corpus / "s2" / "linked_description"
     assert run.stderr.count(f"warning: cannot list {link}: linked directory, not followed") == 1
+    pipe = odd_corpus / "s1" / "pipe_description" / "meshes" / "m.stl"  # a dedup candidate
+    assert run.stderr.count(f"warning: skipped unreadable {pipe}: not a regular file") == (
+        1 if command in ("scan", "dupes") else 0)
