@@ -291,7 +291,7 @@ def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
     io_errors: list = []
     groups = dedup.find_duplicates(files, errors=io_errors)
     for path, exc in io_errors:
-        print(f"warning: skipped unreadable {path}: {exc}", file=sys.stderr)
+        print(f"warning: skipped unreadable {path}: {exc.strerror or exc}", file=sys.stderr)
     return [report.duplicates_table(corpus.root, groups),
             report.duplicates_cross_source_table(corpus.root, groups)]
 

@@ -2,18 +2,19 @@
 
 Text files are compared with spaces and tabs removed and every line
 break rewritten as CRLF; binary files are compared verbatim.  Two stages
-run on the calling thread.  The head stage reads each file's first KiB
-to tell text from binary and keys every file by the CRC-32 of its first
-normalized KiB, reading a text file only as far as that KiB needs.  A
-file whose key no other file shares is never read further; a text file
-and a binary holding its normalized bytes share a key.  Confirmation
-takes the members of each shared key in two lockstep passes, 1 MiB at a
-time, and splits them after every chunk into classes of equal chunks; a
-class of one stops being read.  Pass 1 reads them raw, so the members
-that stay together to the end are byte-identical copies of one kind
-(text or binary): a copy class.  Pass 2 reads one member of each copy
-class through ``_normalized_chunks``, normalizing text as it goes with a
-trailing CR carried to the next read, and a class holding two or more
+run on the calling thread.  The head stage reads each file's first KiB,
+decides there, once, whether the file is text or binary, and keys every
+file by the CRC-32 of its first normalized KiB, reading a text file only
+as far as that KiB needs.  A file whose key no other file shares is
+never read further; a text file and a binary holding its normalized
+bytes share a key.  Confirmation takes the members of each shared key
+in two lockstep passes, 1 MiB at a time, and splits them after every
+chunk into classes of equal chunks; a class of one stops being read.
+Pass 1 reads the text members and the binary members apart, raw, so the
+members that stay together to the end are byte-identical copies of one
+kind: a copy class.  Pass 2 reads one member of each copy class through
+``_normalized_chunks``, normalizing text as the head stage decided, with
+a trailing CR carried to the next read, and a class holding two or more
 paths between its copy classes is a group.  So a text file is
 normalized at most once per copy class, and only when another file
 shares its head.  Each pass-2 class keeps the size and one running MD5
@@ -96,9 +97,10 @@ def _open(path: Path) -> BinaryIO:
     return fh
 
 
-def _head_key(path: Path) -> tuple[int, object]:
-    """CRC-32 of the first normalized KiB, and the file's identity: its
-    (st_dev, st_ino), or ``path`` where an inode number of 0 names none.
+def _head_key(path: Path) -> tuple[int, bool, object]:
+    """CRC-32 of the first normalized KiB, whether the file is text, and
+    its identity: its (st_dev, st_ino), or ``path`` where an inode number
+    of 0 names none.
 
     ``normalize(raw[:k])`` is a prefix of ``normalize(raw)``, so a text
     file is read only until its prefix normalizes to a KiB or it ends."""
@@ -106,45 +108,38 @@ def _head_key(path: Path) -> tuple[int, object]:
         st = os.fstat(fh.fileno())
         identity = (st.st_dev, st.st_ino) if st.st_ino else path
         raw = fh.read(1024)
-        if not is_text_payload(path, raw):
-            return zlib.crc32(raw), identity
-        head = normalize(raw, True)
-        while len(head) < 1024 and (more := fh.read(len(raw))):
+        text = is_text_payload(path, raw)
+        head = normalize(raw, True) if text else raw
+        while text and len(head) < 1024 and (more := fh.read(len(raw))):
             raw += more
             head = normalize(raw, True)
-    return zlib.crc32(head[:1024]), identity
+    return zlib.crc32(head[:1024]), text, identity
 
 
 def _raw_chunks(path: Path) -> Iterator[bytes]:
-    """``b"t"`` for a text file or ``b"b"`` for a binary, then its raw
-    content in ``_CHUNK`` pieces up to a short (maybe empty) last one: two
-    files give the same chunks iff they hold the same bytes and normalize
-    alike.  No file stays open between reads: a bucket may hold more files
-    than can be open at once."""
+    """The raw content of one file in ``_CHUNK`` pieces up to a short
+    (maybe empty) last one.  No file stays open between reads: a bucket
+    may hold more files than can be open at once."""
     offset = 0
     while True:
         with _open(path) as fh:
-            kind = b"" if offset else b"t" if is_text_payload(path, fh.read(1024)) else b"b"
             fh.seek(offset)
             # no larger than what is left: a read allocates all it asks for
             raw = fh.read(min(_CHUNK, max(0, os.fstat(fh.fileno()).st_size - offset)))
-        if kind:
-            yield kind
         offset += len(raw)
         yield raw
         if len(raw) < _CHUNK:
             return
 
 
-def _normalized_chunks(path: Path) -> Iterator[bytes]:
-    """The normalized content of one file in ``_CHUNK`` pieces, so text and
-    binary files split at the same offsets.  Text is normalized one raw
-    read at a time; a CR ending a read (after its blanks are dropped) is
-    carried over, as it may be the first half of a CRLF."""
-    chunks = _raw_chunks(path)
-    text = next(chunks) == b"t"
+def _normalized_chunks(path: Path, text: bool) -> Iterator[bytes]:
+    """The normalized content of one file, text when ``text``, in
+    ``_CHUNK`` pieces, so text and binary files split at the same offsets.
+    Text is normalized one raw read at a time; a CR ending a read (after
+    its blanks are dropped) is carried over, as it may be the first half
+    of a CRLF."""
     carry, pending = b"", b""
-    for raw in chunks:
+    for raw in _raw_chunks(path):
         end = len(raw) < _CHUNK  # a short read ends the file
         if text:
             raw = carry + raw.translate(None, _BLANKS)
@@ -169,17 +164,17 @@ def find_duplicates(paths: Iterable[Path | str],
     """
     if errors is None:
         errors = []
-    buckets: dict[int, list[Path]] = {}
+    buckets: dict[int, dict[Path, bool]] = {}  # each path and whether it is text
     seen: set = set()  # the identities of the files keyed so far
     for path in sorted({Path(p) for p in paths}, key=str):
         try:
-            key, identity = _head_key(path)
+            key, text, identity = _head_key(path)
         except OSError as exc:
             errors.append((path, exc))
             continue
         if identity not in seen:
             seen.add(identity)
-            buckets.setdefault(key, []).append(path)
+            buckets.setdefault(key, {})[path] = text
     groups = [DuplicateGroup(tuple(members), size, digest)
               for bucket in buckets.values() if len(bucket) >= 2
               for members, size, digest in _identical_classes(bucket, errors)]
@@ -187,16 +182,19 @@ def find_duplicates(paths: Iterable[Path | str],
     return groups
 
 
-def _identical_classes(bucket: list[Path],
+def _identical_classes(bucket: dict[Path, bool],
                        errors: list[tuple[Path, OSError]]) -> list[tuple[list[Path], int, str]]:
-    """Split a bucket into classes of identical normalized content, of two
-    or more members each, with the size and MD5 of that content: pass 1
-    splits it by raw chunks into copy classes, unhashed, and pass 2 splits
-    those by the normalized chunks of one member each."""
-    copies = [sum(classes, [])
-              for classes, _, _ in _split([[path] for path in bucket], _raw_chunks, errors)]
+    """Split a bucket, each path with its text verdict, into classes of
+    identical normalized content, of two or more members each, with the
+    size and MD5 of that content: pass 1 splits its text members and its
+    binary members apart, each by raw chunks, into copy classes, unhashed,
+    and pass 2 splits those by the normalized chunks of one member each."""
+    copies = [sum(classes, []) for kind in (True, False)
+              for classes, _, _ in _split([[path] for path in bucket if bucket[path] == kind],
+                                          _raw_chunks, errors)]
     return [(sorted(sum(classes, []), key=str), size, md5.hexdigest())
-            for classes, size, md5 in _split(copies, _normalized_chunks, errors, hashlib.md5())
+            for classes, size, md5 in _split(
+                copies, lambda path: _normalized_chunks(path, bucket[path]), errors, hashlib.md5())
             if sum(map(len, classes)) >= 2]
 
 

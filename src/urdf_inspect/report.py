@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Hashable, Iterable, Sequence
 
-from .bundles import NAME_TERMS, ContactMarkers, LicenseId, MeshInventory, StructureClass
+from .bundles import (MESH_EXTENSIONS, NAME_TERMS, ContactMarkers, LicenseId, MeshInventory,
+                      StructureClass)
 from .compare import DiscrepancyReport
 from .dedup import DuplicateGroup
 from .validator import Diagnostic
@@ -137,7 +138,7 @@ def mesh_types_table(rows: list[tuple[str, MeshInventory]]) -> ReportTable:
         return {(usage, ext): 1 for usage, mapping in usages if mapping for ext in (*mapping, "any")}
 
     keys = [(usage, ext) for usage in ("visual", "collision")
-            for ext in ("stl", "dae", "obj", "other", "any")]
+            for ext in (*MESH_EXTENSIONS, "other", "any")]
     wide = _per_source_table("mesh_types", keys,
                              ((source, present(inventory)) for source, inventory in rows))
     return ReportTable("mesh_types", ("source", "usage", "extension", "bundles"),
@@ -188,7 +189,7 @@ def duplicates_table(root: Path, groups: list[DuplicateGroup]) -> ReportTable:
 
 def duplicates_cross_source_table(root: Path, groups: list[DuplicateGroup]) -> ReportTable:
     """Per source and extension: files in groups spanning >= 2 sources."""
-    extensions = ("urdf", "stl", "dae", "obj", "other")
+    extensions = ("urdf", *MESH_EXTENSIONS, "other")
     counts: dict[tuple[str, str], int] = {}
     sources: set[str] = set()
     for group in groups:

@@ -320,3 +320,7 @@ def test_odd_entries_never_stop_a_run(odd_corpus, tmp_path, command):
     pipe = odd_corpus / "s1" / "pipe_description" / "meshes" / "m.stl"  # a dedup candidate
     assert run.stderr.count(f"warning: skipped unreadable {pipe}: not a regular file") == (
         1 if command in ("scan", "dupes") else 0)
+    dangling = odd_corpus / "s2" / "dangling.urdf"  # named once, by the reason alone
+    assert run.stderr.splitlines().count(
+        f"warning: skipped unreadable {dangling}: No such file or directory") == (
+        1 if command in ("scan", "dupes") else 0)

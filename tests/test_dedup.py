@@ -291,7 +291,7 @@ class TestFindDuplicates:
         variant.write_bytes(body.replace(b"\n", b"\r\n"))
         normalized, real = [], dedup._normalized_chunks
         monkeypatch.setattr(dedup, "_normalized_chunks",
-                            lambda path: normalized.append(path) or real(path))
+                            lambda path, text: normalized.append(path) or real(path, text))
         groups = find_duplicates([*copies, variant])
         assert [g.members for g in groups] == [(*copies, variant)]
         assert (groups[0].size, groups[0].digest) == (
@@ -311,8 +311,8 @@ class TestFindDuplicates:
         variant.write_bytes(body.replace(b" ", b"\t"))
         real = dedup._normalized_chunks
 
-        def vanishing(path):
-            for index, chunk in enumerate(real(path)):
+        def vanishing(path, text):
+            for index, chunk in enumerate(real(path, text)):
                 if path == copies[0] and index == after:
                     path.unlink()
                 yield chunk
@@ -388,7 +388,8 @@ def colliding_files(draw) -> dict[str, bytes | str]:
 @settings(max_examples=80, deadline=None)
 @given(colliding_files(), st.sampled_from([7, SMALL_CHUNK]))
 def test_size_collisions_match_oracle(files, chunk):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dedup, "_CHUNK", chunk):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dedup, "_CHUNK", chunk), \
+            mock.patch.object(dedup, "is_text_payload", wraps=is_text_payload) as decide:
         for name, data in files.items():
             if isinstance(data, str):
                 os.link(Path(tmp) / data, Path(tmp) / name)
@@ -400,6 +401,8 @@ def test_size_collisions_match_oracle(files, chunk):
             inodes.setdefault(path.stat().st_ino, path)
         errors: list = []
         groups = find_duplicates(paths, errors=errors)
+        # each path's text/binary kind is decided once, in the head stage
+        assert sorted((call.args[0] for call in decide.call_args_list), key=str) == paths
         assert errors == []
         assert {frozenset(g.members) for g in groups} == brute_force_duplicates(inodes.values())
         assert groups == sorted(groups, key=lambda g: (-g.size, str(g.members[0])))
@@ -438,7 +441,7 @@ def test_streamed_normalization_matches_whole(case):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dedup, "_CHUNK", chunk):
         path = Path(tmp) / "t.urdf"
         path.write_bytes(data)
-        pieces = list(dedup._normalized_chunks(path))
+        pieces = list(dedup._normalized_chunks(path, True))
     assert b"".join(pieces) == normalize(data, True)
     assert all(len(piece) == chunk for piece in pieces[:-1])
     assert all(pieces)
