@@ -135,11 +135,12 @@ def _meta(data: dict, key: str, default):
 
 
 def _load_json(path: Path):
-    """The JSON value of a regular file; None when there is none to read."""
+    """The JSON value of a regular file; None when there is none to read,
+    also when it nests too deep or holds a number too long to convert."""
     try:
         with dedup._open(path) as fh:
             return json.loads(fh.read().decode("utf-8", errors="replace"))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):
         return None
 
 
@@ -273,8 +274,7 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
                                               str(urdf.relative_to(source_dir)),
                                               "no meta-information.json describes this file"))
 
-        ids = [r.id for r in source_records if r.id]
-        dup_ids = {i for i in ids if ids.count(i) > 1}
+        dup_ids = {i for i, n in Counter(r.id for r in source_records if r.id).items() if n > 1}
         if dup_ids:
             source_records = [
                 replace(r, notices=r.notices + (f"id '{r.id}' is not unique within source",))

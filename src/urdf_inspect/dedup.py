@@ -7,20 +7,20 @@ decides there, once, whether the file is text or binary, and keys every
 file by the CRC-32 of its first normalized KiB, reading a text file only
 as far as that KiB needs.  A file whose key no other file shares is
 never read further; a text file and a binary holding its normalized
-bytes share a key.  Confirmation takes the members of each shared key
-in two lockstep passes, 1 MiB at a time, and splits them after every
-chunk into classes of equal chunks; a class of one stops being read.
-Pass 1 reads the text members and the binary members apart, raw, so the
-members that stay together to the end are byte-identical copies of one
-kind: a copy class.  Pass 2 reads one member of each copy class through
-``_normalized_chunks``, normalizing text as the head stage decided, with
-a trailing CR carried to the next read, and a class holding two or more
-paths between its copy classes is a group.  So a text file is
-normalized at most once per copy class, and only when another file
-shares its head.  Each pass-2 class keeps the size and one running MD5
-of what it read, which become the group's size and digest.  Byte
-equality, never the digest, decides membership.  Only regular files are
-read, so a named pipe cannot block the run: ``_open``, through which
+bytes share a key.  Confirmation takes the members of each shared key in
+two lockstep passes, 1 MiB at a time, and splits them after every chunk
+into classes of equal chunks; a class of one stops being read.  Pass 1
+reads only the text members, raw: those that stay together to the end
+are byte-identical text copies, a copy class.  A binary, with nothing to
+normalize, is a copy class of its own.  Pass 2 reads one member of each
+text copy class through ``_normalized_chunks``, with a trailing CR
+carried to the next read, and each binary raw, once; both readers cut at
+the same offsets.  A pass-2 class holding two or more paths is a group,
+so a text file is normalized at most once per copy class, and only when
+another file shares its head.  Each pass-2 class keeps the size and one
+running MD5 of what it read, which become the group's size and digest.
+Byte equality, never the digest, decides membership.  Only regular files
+are read, so a named pipe cannot block the run: ``_open``, through which
 ``bundles`` and ``cli`` read every file too, fails at once for the rest."""
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import os
 import stat
 import zlib
 from dataclasses import dataclass
+from itertools import chain, count
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
@@ -117,35 +118,32 @@ def _head_key(path: Path) -> tuple[int, bool, object]:
 
 
 def _raw_chunks(path: Path) -> Iterator[bytes]:
-    """The raw content of one file in ``_CHUNK`` pieces up to a short
-    (maybe empty) last one.  No file stays open between reads: a bucket
-    may hold more files than can be open at once."""
-    offset = 0
-    while True:
+    """The raw content of one file in non-empty pieces: ``_CHUNK`` bytes
+    each up to a short last one.  No file stays open between reads: a
+    bucket may hold more files than can be open at once."""
+    for offset in count(0, _CHUNK):
         with _open(path) as fh:
             fh.seek(offset)
+            left = os.fstat(fh.fileno()).st_size - offset
             # no larger than what is left: a read allocates all it asks for
-            raw = fh.read(min(_CHUNK, max(0, os.fstat(fh.fileno()).st_size - offset)))
-        offset += len(raw)
-        yield raw
-        if len(raw) < _CHUNK:
+            raw = fh.read(min(_CHUNK, max(0, left)))
+        if raw:
+            yield raw
+        if len(raw) < _CHUNK or left <= _CHUNK:
             return
 
 
-def _normalized_chunks(path: Path, text: bool) -> Iterator[bytes]:
-    """The normalized content of one file, text when ``text``, in
-    ``_CHUNK`` pieces, so text and binary files split at the same offsets.
-    Text is normalized one raw read at a time; a CR ending a read (after
-    its blanks are dropped) is carried over, as it may be the first half
-    of a CRLF."""
+def _normalized_chunks(path: Path) -> Iterator[bytes]:
+    """The normalized content of one text file, cut as ``_raw_chunks`` cuts
+    its pieces.  Text is normalized one raw read at a time; a CR ending a
+    read (after its blanks are dropped) is carried over, as it may be the
+    first half of a CRLF, and flushed after the last read."""
     carry, pending = b"", b""
-    for raw in _raw_chunks(path):
-        end = len(raw) < _CHUNK  # a short read ends the file
-        if text:
-            raw = carry + raw.translate(None, _BLANKS)
-            carry = b"\r" if not end and raw.endswith(b"\r") else b""
-            raw = _crlf(raw[:len(raw) - len(carry)])
-        pending += raw
+    for raw in chain(_raw_chunks(path), [b""]):  # no piece is empty but this last one
+        end = not raw
+        raw = carry + raw.translate(None, _BLANKS)
+        carry = b"\r" if not end and raw.endswith(b"\r") else b""
+        pending += _crlf(raw[:len(raw) - len(carry)])
         cut = len(pending) if end else len(pending) - len(pending) % _CHUNK
         yield from (pending[start:start + _CHUNK] for start in range(0, cut, _CHUNK))
         pending = pending[cut:]
@@ -186,15 +184,16 @@ def _identical_classes(bucket: dict[Path, bool],
                        errors: list[tuple[Path, OSError]]) -> list[tuple[list[Path], int, str]]:
     """Split a bucket, each path with its text verdict, into classes of
     identical normalized content, of two or more members each, with the
-    size and MD5 of that content: pass 1 splits its text members and its
-    binary members apart, each by raw chunks, into copy classes, unhashed,
-    and pass 2 splits those by the normalized chunks of one member each."""
-    copies = [sum(classes, []) for kind in (True, False)
-              for classes, _, _ in _split([[path] for path in bucket if bucket[path] == kind],
-                                          _raw_chunks, errors)]
+    size and MD5 of that content.  Pass 1 splits the text members into
+    copy classes by raw chunks, unhashed; pass 2 splits these, read through
+    one member's normalized chunks, and the binaries, each read raw once."""
+    copies = [sum(classes, []) for classes, _, _ in
+              _split([[path] for path in bucket if bucket[path]], _raw_chunks, errors)]
+    copies += [[path] for path in bucket if not bucket[path]]
     return [(sorted(sum(classes, []), key=str), size, md5.hexdigest())
             for classes, size, md5 in _split(
-                copies, lambda path: _normalized_chunks(path, bucket[path]), errors, hashlib.md5())
+                copies, lambda path: (_normalized_chunks if bucket[path] else _raw_chunks)(path),
+                errors, hashlib.md5())
             if sum(map(len, classes)) >= 2]
 
 

@@ -173,6 +173,14 @@ class TestScanCorpus:
         [record] = scan_corpus(tmp_path / "corpus")
         assert record.xacro_generated_by_dataset is expected
 
+    @pytest.mark.parametrize("text", ["[" * 200_000 + "]" * 200_000,
+                                      '{"name": %s}' % ("9" * 5_000)], ids=["too-deep", "long-int"])
+    def test_unreadable_source_information_falls_back_to_the_directory(self, tmp_path, text):
+        root = tmp_path / "corpus"
+        (write_source(root, "odd") / "r.urdf").write_text(simple_urdf("r"))
+        (root / "odd" / "source-information.json").write_text(text)
+        assert [(r.source_name, r.source_url) for r in scan_corpus(root)] == [("odd", "")]
+
     def test_source_url_aliases_in_meta_order(self, tmp_path):
         source = tmp_path / "corpus" / "solo"
         (source / "b").mkdir(parents=True)
@@ -182,7 +190,9 @@ class TestScanCorpus:
         [record] = scan_corpus(tmp_path / "corpus")
         assert record.source_url == "https://example.org/src"
 
-    @pytest.mark.parametrize("text", ["[]", "[1, 2]", "null", "5", "{"])
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", "null", "5", "{",
+                                      pytest.param("[" * 200_000 + "]" * 200_000, id="too-deep"),
+                                      pytest.param('{"id": %s}' % ("9" * 5_000), id="long-int")])
     def test_meta_without_object_is_one_placeholder(self, tmp_path, text):
         bundle = write_source(tmp_path / "corpus", "solo") / "b"
         bundle.mkdir()

@@ -5,7 +5,8 @@ the first two sources always the same robot) are built in a temporary
 directory and run in-process.  Where odd entries (named pipes, a
 directory named like a URDF, dangling and linked paths) are mixed in,
 each corpus command runs in a subprocess with a timeout, as it does on
-one fixed corpus that holds every odd entry at once.
+one fixed corpus that holds every odd entry at once, metadata nested too
+deep or holding a number too long to decode among them.
 """
 
 from __future__ import annotations
@@ -308,6 +309,10 @@ def odd_corpus(tmp_path: Path) -> Path:
     symlink("gone.urdf", s2 / "dangling.urdf")
     symlink("../s1/planar_description", s2 / "linked_description")
     (s1 / "planar_description" / "meshes" / os.fsdecode(b"\xffm.stl")).write_bytes(MESHES[1])
+    (s1 / "deep_description").mkdir()  # a meta file nested too deep to decode
+    (s1 / "deep_description" / "meta-information.json").write_text("[" * 200_000 + "]" * 200_000)
+    # a source name too long for int() to convert
+    (s2 / "source-information.json").write_text('{"name": %s}' % ("9" * 5_000))
     return root
 
 

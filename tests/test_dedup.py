@@ -291,7 +291,7 @@ class TestFindDuplicates:
         variant.write_bytes(body.replace(b"\n", b"\r\n"))
         normalized, real = [], dedup._normalized_chunks
         monkeypatch.setattr(dedup, "_normalized_chunks",
-                            lambda path, text: normalized.append(path) or real(path, text))
+                            lambda path: normalized.append(path) or real(path))
         groups = find_duplicates([*copies, variant])
         assert [g.members for g in groups] == [(*copies, variant)]
         assert (groups[0].size, groups[0].digest) == (
@@ -311,8 +311,8 @@ class TestFindDuplicates:
         variant.write_bytes(body.replace(b" ", b"\t"))
         real = dedup._normalized_chunks
 
-        def vanishing(path, text):
-            for index, chunk in enumerate(real(path, text)):
+        def vanishing(path):
+            for index, chunk in enumerate(real(path)):
                 if path == copies[0] and index == after:
                     path.unlink()
                 yield chunk
@@ -325,6 +325,47 @@ class TestFindDuplicates:
         assert (groups[0].size, groups[0].digest) == (
             len(normalize(body, True)), hashlib.md5(normalize(body, True)).hexdigest())
         assert [path for path, _ in errors] == [copies[0]]
+
+    def test_binary_read_once_during_confirmation(self, tmp_path, monkeypatch):
+        """Two copies and a near miss sharing their first KiB, each several
+        chunks long: confirmation reads no binary past its size."""
+        blob = bytes(range(256)) * 6
+        paths = [tmp_path / name for name in ("a.bin", "b.bin", "tail.bin")]
+        paths[0].write_bytes(blob)
+        paths[1].write_bytes(blob)
+        paths[2].write_bytes(blob[:-1] + b"x")
+        yielded, real = {}, dedup._raw_chunks
+
+        def counting(path):
+            for chunk in real(path):
+                yielded[path] = yielded.get(path, 0) + len(chunk)
+                yield chunk
+
+        monkeypatch.setattr(dedup, "_raw_chunks", counting)
+        monkeypatch.setattr(dedup, "_CHUNK", 64)
+        groups = find_duplicates(paths)
+        assert [g.members for g in groups] == [tuple(paths[:2])]
+        assert (groups[0].size, groups[0].digest) == (len(blob), hashlib.md5(blob).hexdigest())
+        assert set(yielded) == set(paths)
+        assert all(yielded[path] <= path.stat().st_size for path in paths)
+
+    def test_binary_never_normalized(self, tmp_path, monkeypatch):
+        """A text file, a binary holding its normalized bytes and two binary
+        copies share one bucket; only the text file is normalized."""
+        text = b"<robot name='r'>\n  <link name='l'/>\n</robot>\n" * 40
+        content = normalize(text, True)
+        paths = [tmp_path / name for name in ("a.bin", "b.bin", "n.bin", "t.urdf")]
+        paths[0].write_bytes(content[:-1] + b"x")
+        paths[1].write_bytes(content[:-1] + b"x")
+        paths[2].write_bytes(content)
+        paths[3].write_bytes(text)
+        monkeypatch.setattr(dedup, "_CHUNK", 64)
+        with mock.patch.object(dedup, "_normalized_chunks",
+                               wraps=dedup._normalized_chunks) as normalized:
+            groups = find_duplicates(paths)
+        assert [g.members for g in groups] == [tuple(paths[:2]), tuple(paths[2:])]
+        assert groups[1].digest == hashlib.md5(content).hexdigest()
+        assert [call.args for call in normalized.call_args_list] == [(paths[3],)]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -441,10 +482,25 @@ def test_streamed_normalization_matches_whole(case):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dedup, "_CHUNK", chunk):
         path = Path(tmp) / "t.urdf"
         path.write_bytes(data)
-        pieces = list(dedup._normalized_chunks(path, True))
+        pieces = list(dedup._normalized_chunks(path))
     assert b"".join(pieces) == normalize(data, True)
     assert all(len(piece) == chunk for piece in pieces[:-1])
     assert all(pieces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([7, 64]), st.integers(0, 4), st.sampled_from([-1, 0, 1]), st.randoms())
+def test_raw_pieces_are_full_chunks_then_a_short_last_one(chunk, whole, delta, rng):
+    """Sizes 0, k chunks and k chunks plus or minus one byte: no piece is
+    empty, each but the last is a chunk, and together they are the file."""
+    data = rng.randbytes(max(0, whole * chunk + delta))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dedup, "_CHUNK", chunk):
+        path = Path(tmp) / "m.bin"
+        path.write_bytes(data)
+        pieces = list(dedup._raw_chunks(path))
+    assert b"".join(pieces) == data
+    assert all(pieces)
+    assert all(len(piece) == chunk for piece in pieces[:-1])
 
 
 @settings(max_examples=100, deadline=None)
