@@ -5,28 +5,23 @@ robots with ``source-information.json`` and per-bundle
 ``meta-information.json`` files.  A bundle is the directory holding a
 meta file plus the URDF and mesh files it describes.
 
-One rule, ``_entered``, picks the directories entered, the sources and
-each level of ``_walk`` alike: no hidden one (named ``.*``) and no linked
-one, which is named instead.  Every file is read through ``dedup._open``.
-``scan_corpus`` walks each source twice; one more ``_walk`` of the corpus
-root is all ``classify_structure`` and ``detect_license`` read of disk.
+Every file is read, and every directory listed, by the rules of ``_fs``.
+``scan_corpus`` walks each source twice; one more ``_fs.walk`` of the
+corpus root is all ``classify_structure`` and ``detect_license`` read of disk.
 """
 
 from __future__ import annotations
 
-import bisect
-import fnmatch
 import json
 import os
 import re
-import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from . import dedup
+from . import _fs
 from .model import Mesh, RobotModel
 
 __all__ = [
@@ -138,8 +133,7 @@ def _load_json(path: Path):
     """The JSON value of a regular file; None when there is none to read,
     also when it nests too deep or holds a number too long to convert."""
     try:
-        with dedup._open(path) as fh:
-            return json.loads(fh.read().decode("utf-8", errors="replace"))
+        return json.loads(_fs.read_file(path).decode("utf-8", errors="replace"))
     except (OSError, ValueError, RecursionError):
         return None
 
@@ -147,62 +141,6 @@ def _load_json(path: Path):
 def _text(value, default: str) -> str:
     """``value`` when it is a non-empty string, else ``default``."""
     return value if isinstance(value, str) and value else default
-
-
-def _warn_unlistable(exc: OSError) -> None:
-    print(f"warning: cannot list {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
-
-
-def _entered(top: str, dirs: list[str], onerror) -> list[str]:
-    """The names among ``dirs``, directories in ``top``, that are entered:
-    not hidden ones, nor linked ones, each named to ``onerror``."""
-    entered = [d for d in dirs if not d.startswith(".")]
-    for link in [d for d in entered if os.path.islink(os.path.join(top, d))]:
-        onerror(OSError(None, "linked directory, not followed", os.path.join(top, link)))
-        entered.remove(link)
-    return entered
-
-
-@dataclass(frozen=True)
-class _Listing:
-    """Path strings below a directory, in ``str`` order, and every directory listed."""
-
-    paths: list[str]
-    dirs: set[str]
-
-    def below(self, directory: str) -> list[str]:
-        """The slice of ``paths`` below ``directory``: those starting with it and a separator."""
-        start = bisect.bisect_left(self.paths, directory + os.sep)
-        return self.paths[start:bisect.bisect_left(self.paths, directory + chr(ord(os.sep) + 1))]
-
-
-def _walk(base: Path, pattern: str = "*", errors: list[OSError] | None = None) -> _Listing:
-    """The files and directories below ``base`` whose name matches
-    ``pattern``, spelled as ``Path`` spells them, but no hidden one; only
-    what ``_entered`` enters is entered, though a linked directory is listed.
-    Each directory that cannot be listed or is linked gives an ``OSError``
-    naming it, appended to ``errors``, or named on stderr if ``errors`` is None."""
-    listing = _Listing([], set())
-    onerror = _warn_unlistable if errors is None else errors.append
-    cut = len(os.curdir + os.sep) if os.fspath(base) == os.curdir else 0  # "./x" is Path's "x"
-    # links are pruned below, which spares os.walk its own link test of each directory
-    for top, dirs, files in os.walk(base, onerror=onerror, followlinks=True):
-        top = top[cut:]
-        listing.dirs.update(os.path.join(top, name) for name in dirs if not name.startswith("."))
-        listing.paths.extend(os.path.join(top, name) for name in
-                             fnmatch.filter(dirs + files, pattern) if not name.startswith("."))
-        dirs[:] = _entered(top, dirs, onerror)
-    listing.paths.sort()
-    return listing
-
-
-def _corpus_root(root: Path | str) -> Path:
-    """The directory holding the sources: ``root``, or its ``urdf_files/``
-    when there is one.  Raises for a root that is not a directory."""
-    root = Path(root)
-    if not root.is_dir():
-        raise FileNotFoundError(f"corpus root {root} is not a directory")
-    return root / "urdf_files" if (root / "urdf_files").is_dir() else root
 
 
 def _record(source: tuple[str, str], bundle_dir: Path, urdf_path: Path, entry: dict,
@@ -229,27 +167,24 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
 
     Missing or broken metadata degrades to records with notices, never
     to failures; only an unreadable root raises, and a directory below
-    it that cannot be listed is reported as ``_walk`` reports it.  A
+    it that cannot be listed is reported as ``_fs.walk`` reports it.  A
     metadata text value (name, type, manufacturer, id, URDF location,
     URL) counts only when it is a non-empty string, and the xacro flag
     only when it is a boolean; anything else reads as a missing key, the
-    flag as false.
-    The sources are the directories ``_entered`` enters, so a linked one
-    gives no record.  Hidden entries (a name starting with a dot) are
-    skipped.  Output is ordered by (source, id, urdf path) and stable.
+    flag as false.  Sources and files are found by the rules of ``_fs``,
+    so a hidden or linked source gives no record.  Output is ordered by
+    (source, id, urdf path) and stable.
     """
-    root = _corpus_root(root)
     records: list[BundleRecord] = []
-    sources = _entered(str(root), [p.name for p in root.iterdir() if p.is_dir()],
-                       _warn_unlistable if errors is None else errors.append)
-    for source_dir in sorted(root / name for name in sources):
+    for source_dir in _fs.sources(_fs.corpus_root(root), errors):
         info = _load_json(source_dir / "source-information.json")
         info = info if isinstance(info, dict) else {}
         source = (_text(info.get("name"), source_dir.name), _meta(info, "url", ""))
 
         described: set[str] = set()  # real paths: a symlink loop has one, where resolve() raises
         source_records: list[BundleRecord] = []
-        for meta_path in sorted(map(Path, _walk(source_dir, "meta-information.json", errors).paths)):
+        meta_paths = _fs.walk(source_dir, "meta-information.json", errors).paths
+        for meta_path in sorted(map(Path, meta_paths)):
             bundle_dir = meta_path.parent
             data = _load_json(meta_path)
             entries = [e for e in (data if isinstance(data, list) else [data]) if isinstance(e, dict)]
@@ -268,7 +203,7 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
                     described.add(os.path.realpath(bundle_dir / rel))
                 source_records.append(_record(source, bundle_dir, Path(rel), entry, "", *notices))
 
-        for urdf in sorted(map(Path, _walk(source_dir, "*.urdf", errors).paths)):
+        for urdf in sorted(map(Path, _fs.walk(source_dir, "*.urdf", errors).paths)):
             if os.path.realpath(urdf) not in described:
                 source_records.append(_record(source, urdf.parent, Path(urdf.name), {},
                                               str(urdf.relative_to(source_dir)),
@@ -293,24 +228,25 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
 _SUPPORT_NAME = re.compile(r".+_.+_support")
 
 
-def _has_layout(bundle_dir: Path, urdf_folder: str, listing: _Listing) -> bool:
+def _has_layout(bundle_dir: Path, urdf_folder: str, listing: _fs.Listing) -> bool:
     folder = os.path.join(bundle_dir, urdf_folder)
     return ({folder, os.path.join(bundle_dir, "meshes")} <= listing.dirs
             and any(path.endswith(".urdf") for path in listing.below(folder)))
 
 
-def classify_structure(bundle_dir: Path | str, listing: _Listing | None = None) -> StructureClass:
+def classify_structure(bundle_dir: Path | str,
+                       listing: _fs.Listing | None = None) -> StructureClass:
     """Assign exactly one folder-structure class to a bundle directory.
 
     Checks run in order of specificity D, C, B, A; anything else is
     Other.  A directory whose name suggests one class but whose URDF
     location matches a more specific one takes the more specific class.
-    The layout is looked up in ``listing``, a ``_walk`` that holds the
+    The layout is looked up in ``listing``, a ``_fs.walk`` that holds the
     bundle directory, or in a walk of the directory itself, which names
     what it skips on stderr.  A linked layout folder is not entered.
     """
     bundle_dir = Path(bundle_dir)
-    name, listing = bundle_dir.name, listing or _walk(bundle_dir)
+    name, listing = bundle_dir.name, listing or _fs.walk(bundle_dir)
     classes = ((StructureClass.D, name.endswith("visualization"), "urdf"),
                (StructureClass.C, name.endswith("_description"), "robots"),
                (StructureClass.B, _SUPPORT_NAME.fullmatch(name), "urdf"),
@@ -371,16 +307,15 @@ def _fingerprint(text: str) -> LicenseId | None:
     return None
 
 
-def detect_license(bundle_dir: Path | str, listing: _Listing | None = None) -> LicenseId:
+def detect_license(bundle_dir: Path | str, listing: _fs.Listing | None = None) -> LicenseId:
     """Fingerprint LICENSE/COPYING-style files under a bundle directory, in
-    ``str`` order, skipping what ``dedup._open`` cannot open.  They are
+    ``str`` order, skipping what ``_fs.open_file`` cannot open.  They are
     looked up as ``classify_structure`` looks up a layout."""
     bundle_dir = Path(bundle_dir)
-    paths = _walk(bundle_dir).paths if listing is None else listing.below(str(bundle_dir))
+    paths = _fs.walk(bundle_dir).paths if listing is None else listing.below(str(bundle_dir))
     for path in (p for p in paths if _LICENSE_FILE.match(os.path.basename(p))):
         try:
-            with dedup._open(path) as fh:
-                text = fh.read().decode("utf-8", errors="replace")
+            text = _fs.read_file(path).decode("utf-8", errors="replace")
         except OSError:
             continue
         found = _fingerprint(_normalize_license_text(text))
@@ -415,13 +350,7 @@ def model_stats(rows: list[tuple[str, int, int]]) -> dict[str, tuple[int, int]]:
     """
     groups: dict[str, list[tuple[int, int]]] = {}
     for robot_type, links, joints in rows:
-        if not robot_type:
-            continue
-        groups.setdefault(robot_type, []).append((links, joints))
-    out: dict[str, tuple[int, int]] = {}
-    for robot_type, counts in groups.items():
-        n = len(counts)
-        mean_links = sum(c[0] for c in counts) / n
-        mean_joints = sum(c[1] for c in counts) / n
-        out[robot_type] = (int(mean_links + 0.5), int(mean_joints + 0.5))
-    return out
+        if robot_type:
+            groups.setdefault(robot_type, []).append((links, joints))
+    return {robot_type: tuple(int(sum(column) / len(counts) + 0.5) for column in zip(*counts))
+            for robot_type, counts in groups.items()}

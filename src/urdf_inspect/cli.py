@@ -15,10 +15,10 @@ the tables read: its diagnostics and, under scan and stats, its xacro
 banner, contact markers, mesh inventory, name-term counts and link and
 joint counts.  Under scan and compare, each multiply defined robot is
 compared as soon as its members load, so no parsed model outlives its group.
-Every file is read through ``dedup._open``, and directories are entered
-by the rule of ``bundles._entered``: no hidden or linked one.  Each source
-is walked twice for its bundles; scan, stats and dupes walk the root once
-more, and their structures, licenses and dupes tables read only that walk.
+Every file is read, and every directory listed, by the rules of ``_fs``.
+Each source is walked twice for its bundles; scan, stats and dupes walk
+the root once more, and their structures, licenses and dupes tables read
+only that walk.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage error,
 3 I/O failure.
@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import bundles, compare, dedup, report
+from . import _fs, bundles, compare, dedup, report
 from .bundles import BundleRecord, ContactMarkers, MeshInventory
 from .model import RobotModel
 from .validator import Diagnostic, kinematic_sanity, validate
@@ -105,9 +105,7 @@ def run_cli(argv: list[str]) -> int:
             tables = _dupes_tables(corpus)
         else:  # stats lists scan's last four tables in reverse
             tables = _stats_tables(corpus)[::-1]
-        # each directory once, however the walks that met it spelled it
-        for exc in {os.path.normpath(e.filename): e for e in corpus.skipped}.values():
-            bundles._warn_unlistable(exc)
+        _fs.warn_skipped(corpus.skipped)
         _emit_tables(args, tables)
         return EXIT_OK
     except OSError as exc:
@@ -148,21 +146,20 @@ class _Corpus:
     entries: list[_Entry]
     discrepancies: list[tuple[str, str, str, compare.DiscrepancyReport]]  # sorted rows, if compared
     skipped: list[OSError]  # directories a walk did not enter, repeats included
-    listing: bundles._Listing | None  # the root's, under every command but compare
+    listing: _fs.Listing | None  # the root's, under every command but compare
 
 
 def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnostic]]:
     """Read, validate and sanity-check one URDF file.
 
-    Returns (bytes, model, diagnostics); a file that ``dedup._open`` cannot
-    open or read has no bytes and no model, and one F diagnostic saying why.
+    Returns (bytes, model, diagnostics); a file that ``_fs.read_file``
+    cannot read has no bytes and no model, and one F diagnostic saying why.
     """
     try:
-        with dedup._open(path) as fh:
-            raw = fh.read()
+        raw = _fs.read_file(path)
     except OSError as exc:
-        reason = exc.strerror or str(exc)
-        return None, None, [Diagnostic("error", "F", "document", f"cannot read file: {reason}")]
+        return None, None, [Diagnostic("error", "F", "document",
+                                       f"cannot read file: {_fs.reason(exc)}")]
     result = validate(raw)
     diags = result.diagnostics
     if result.model is not None:
@@ -202,8 +199,8 @@ def _load_corpus(args: argparse.Namespace) -> _Corpus:
                   key=lambda row: row[:2])  # by robot name, then manufacturer
     entries = [] if args.command == "compare" else [
         members.pop(id(r), None) or _load_entry(r, facts)[0] for r in records]
-    root = bundles._corpus_root(args.root)
-    listing = None if args.command == "compare" else bundles._walk(root, "*", skipped)
+    root = _fs.corpus_root(args.root)
+    listing = None if args.command == "compare" else _fs.walk(root, "*", skipped)
     return _Corpus(root, entries, rows, skipped, listing)
 
 
@@ -227,7 +224,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     path: Path = args.path
     # a path named *.urdf is one file, as in the tree walk, even if it is a directory
     walk = path.is_dir() and not path.match("*.urdf")
-    files = sorted(map(Path, bundles._walk(path, "*.urdf").paths)) if walk else [path]
+    files = sorted(map(Path, _fs.walk(path, "*.urdf").paths)) if walk else [path]
 
     rows: list[tuple[str, Diagnostic]] = []
     failed = False
@@ -291,7 +288,7 @@ def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
     io_errors: list = []
     groups = dedup.find_duplicates(files, errors=io_errors)
     for path, exc in io_errors:
-        print(f"warning: skipped unreadable {path}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"warning: skipped unreadable {path}: {_fs.reason(exc)}", file=sys.stderr)
     return [report.duplicates_table(corpus.root, groups),
             report.duplicates_cross_source_table(corpus.root, groups)]
 

@@ -19,21 +19,19 @@ the same offsets.  A pass-2 class holding two or more paths is a group,
 so a text file is normalized at most once per copy class, and only when
 another file shares its head.  Each pass-2 class keeps the size and one
 running MD5 of what it read, which become the group's size and digest.
-Byte equality, never the digest, decides membership.  Only regular files
-are read, so a named pipe cannot block the run: ``_open``, through which
-``bundles`` and ``cli`` read every file too, fails at once for the rest."""
+Byte equality, never the digest, decides membership.  ``_fs`` opens each file."""
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import os
-import stat
 import zlib
 from dataclasses import dataclass
 from itertools import chain, count
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
+
+from . import _fs
 
 __all__ = [
     "DuplicateGroup",
@@ -83,21 +81,6 @@ def is_text_payload(path: Path, head: bytes) -> bool:
     return False
 
 
-def _open(path: Path) -> BinaryIO:
-    """``path`` opened for reading, or an ``OSError`` at once if it is not
-    a regular file: opening or reading a named pipe could block, and a
-    socket cannot be opened (ENXIO)."""
-    nonblocking = getattr(os, "O_NONBLOCK", 0)  # a POSIX flag
-    try:
-        fh = open(path, "rb", opener=lambda name, flags: os.open(name, flags | nonblocking))
-    except OSError as exc:
-        raise OSError("not a regular file") if exc.errno == errno.ENXIO else exc
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        fh.close()
-        raise OSError("not a regular file")
-    return fh
-
-
 def _head_key(path: Path) -> tuple[int, bool, object]:
     """CRC-32 of the first normalized KiB, whether the file is text, and
     its identity: its (st_dev, st_ino), or ``path`` where an inode number
@@ -105,7 +88,7 @@ def _head_key(path: Path) -> tuple[int, bool, object]:
 
     ``normalize(raw[:k])`` is a prefix of ``normalize(raw)``, so a text
     file is read only until its prefix normalizes to a KiB or it ends."""
-    with _open(path) as fh:
+    with _fs.open_file(path) as fh:
         st = os.fstat(fh.fileno())
         identity = (st.st_dev, st.st_ino) if st.st_ino else path
         raw = fh.read(1024)
@@ -122,7 +105,7 @@ def _raw_chunks(path: Path) -> Iterator[bytes]:
     each up to a short last one.  No file stays open between reads: a
     bucket may hold more files than can be open at once."""
     for offset in count(0, _CHUNK):
-        with _open(path) as fh:
+        with _fs.open_file(path) as fh:
             fh.seek(offset)
             left = os.fstat(fh.fileno()).st_size - offset
             # no larger than what is left: a read allocates all it asks for

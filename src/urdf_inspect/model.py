@@ -290,7 +290,8 @@ class _Builder:
                default: tuple[float, ...] | None = None) -> float | tuple[float, ...] | None:
         """Parse a whitespace-separated list of ``count`` floats, one float
         when ``count`` is 1; ``default`` when the element or the attribute is
-        absent.  A wrong arity or a non-number is fatal.  Each string is read
+        absent.  A wrong arity or a non-number is fatal; a value holding a
+        non-ASCII character or a ``_`` is not numeric.  Each string is read
         once per document; a non-finite value is noticed wherever it occurs."""
         raw = None if element is None else element[1].get(attr)
         if raw is None:
@@ -298,11 +299,13 @@ class _Builder:
         known = self.numbers.get((raw, count))
         if known is None:
             tag, _, line, column = element
-            parts = raw.split()
-            if len(parts) != count:
+            parts, plain = raw.split(), raw.isascii() and "_" not in raw
+            if plain and len(parts) != count:
                 raise ParseFailure(f"attribute '{attr}' of <{tag}> must hold {count} "
                                    f"numbers, got {len(parts)}", line, column)
             try:
+                if not plain:  # split() and float() take more than urdfdom does
+                    raise ValueError
                 values = tuple(map(float, parts))
             except ValueError:
                 raise ParseFailure(f"attribute '{attr}' of <{tag}> is not numeric: {raw!r}",

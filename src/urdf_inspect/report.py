@@ -122,12 +122,9 @@ def xacro_table(rows: list[tuple[str, bool, bool]]) -> ReportTable:
 
 def parsing_errors_table(rows: list[tuple[str, Diagnostic]]) -> ReportTable:
     """One row per diagnostic: {file, severity, code, subject, line, message}."""
-    out = tuple(
-        (file, d.severity, d.code, d.subject, d.line, d.message)
-        for file, d in rows
-    )
-    return ReportTable("parsing_errors",
-                       ("file", "severity", "code", "subject", "line", "message"), out)
+    return ReportTable("parsing_errors", ("file", "severity", "code", "subject", "line", "message"),
+                       tuple((file, d.severity, d.code, d.subject, d.line, d.message)
+                             for file, d in rows))
 
 
 def mesh_types_table(rows: list[tuple[str, MeshInventory]]) -> ReportTable:
@@ -162,11 +159,8 @@ def name_stats_table(rows: list[tuple[str, dict[str, int]]]) -> ReportTable:
 
 
 def model_stats_table(stats: dict[str, tuple[int, int]]) -> ReportTable:
-    rows = tuple(
-        (robot_type, links, joints)
-        for robot_type, (links, joints) in sorted(stats.items())
-    )
-    return ReportTable("model_stats", ("robot_type", "avg_links", "avg_joints"), rows)
+    return ReportTable("model_stats", ("robot_type", "avg_links", "avg_joints"),
+                       tuple((robot_type, *size) for robot_type, size in sorted(stats.items())))
 
 
 def _member(root: Path, member: Path) -> tuple[str, str, str]:
@@ -202,49 +196,29 @@ def duplicates_cross_source_table(root: Path, groups: list[DuplicateGroup]) -> R
             if ext not in extensions:
                 ext = "other"
             counts[(source, ext)] = counts.get((source, ext), 0) + 1
-    rows = tuple(
-        (source, *(counts.get((source, ext), 0) for ext in extensions))
-        for source in sorted(sources)
-    )
-    return ReportTable("duplicates_cross_source", ("source", *extensions), rows)
+    return ReportTable("duplicates_cross_source", ("source", *extensions),
+                       tuple((source, *(counts.get((source, ext), 0) for ext in extensions))
+                             for source in sorted(sources)))
 
 
 def discrepancies_table(rows: list[tuple[str, str, str, DiscrepancyReport]]) -> ReportTable:
     """Row input: (robot name, manufacturer, robot type, report)."""
-    def fk_cell(report: DiscrepancyReport) -> Cell:
-        return "incomparable" if report.diff_fk is None else report.diff_fk
-
-    out = tuple(
-        (robot, manufacturer, robot_type, ";".join(report.sources),
-         report.diff_joints, report.diff_links, report.diff_cad_types,
-         fk_cell(report), report.diff_lines, report.any, report.any_excl_lines)
-        for robot, manufacturer, robot_type, report in rows
-    )
     return ReportTable(
-        "discrepancies",
-        ("robot", "manufacturer", "type", "sources", "joints", "links",
-         "cad", "fk", "lines", "any", "any_excl_lines"),
-        out,
-    )
+        "discrepancies", ("robot", "manufacturer", "type", "sources", "joints", "links",
+                          "cad", "fk", "lines", "any", "any_excl_lines"),
+        tuple((robot, manufacturer, robot_type, ";".join(report.sources),
+               report.diff_joints, report.diff_links, report.diff_cad_types,
+               "incomparable" if report.diff_fk is None else report.diff_fk,
+               report.diff_lines, report.any, report.any_excl_lines)
+              for robot, manufacturer, robot_type, report in rows))
 
 
 def model_info_table(rows: list[tuple[str, object, MeshInventory]]) -> ReportTable:
     """Row input: (file, RobotModel, inventory); one output row per file."""
-    out = []
-    for file, model, inventory in rows:
-        out.append((
-            file,
-            model.name,
-            len(model.links),
-            len(model.joints),
-            ";".join(model.link_names()),
-            ";".join(model.joint_names()),
-            ";".join(sorted(inventory.visual)),
-            ";".join(sorted(inventory.collision)),
-        ))
     return ReportTable(
-        "model_info",
-        ("file", "robot", "links", "joints", "link_names", "joint_names",
-         "visual_mesh_types", "collision_mesh_types"),
-        tuple(out),
-    )
+        "model_info", ("file", "robot", "links", "joints", "link_names", "joint_names",
+                       "visual_mesh_types", "collision_mesh_types"),
+        tuple((file, model.name, len(model.links), len(model.joints),
+               ";".join(model.link_names()), ";".join(model.joint_names()),
+               ";".join(sorted(inventory.visual)), ";".join(sorted(inventory.collision)))
+              for file, model, inventory in rows))

@@ -14,6 +14,7 @@ the whole document before it walks that tree.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 from xml.parsers import expat
 
@@ -431,6 +432,9 @@ _SHAPES = {
 }
 _INERTIA = dict.fromkeys(("ixx", "ixy", "ixz", "iyy", "iyz", "izz"), 1)
 _LIMIT_BOUNDS = ("lower", "upper", "effort", "velocity")
+_ASCII_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                          r"|inf(?:inity)?|nan)", re.ASCII | re.IGNORECASE)
+_NOT_ASCII_OR_UNDERSCORE = re.compile(r"[^\x00-\x7f]|_")
 
 
 class _Parser:
@@ -445,19 +449,24 @@ class _Parser:
                default: tuple[float, ...] | None = None) -> float | tuple[float, ...] | None:
         """Parse a whitespace-separated list of ``count`` floats, one float
         when ``count`` is 1; ``default`` when the element or the attribute is
-        absent.  A wrong arity or a non-number is fatal."""
+        absent.  A wrong arity or a non-number is fatal.  A number is what
+        ``_ASCII_FLOAT`` matches, and a value holding any character outside
+        ASCII, or a ``_``, is not numeric whatever its arity: urdfdom splits
+        on spaces and reads each part in the classic locale."""
         raw = None if element is None else element.attrib.get(attr)
         if raw is None:
             return default
+        not_numeric = ParseFailure(f"attribute '{attr}' of <{element.tag}> is not numeric: "
+                                   f"{raw!r}", element.line, element.column)
+        if _NOT_ASCII_OR_UNDERSCORE.search(raw):
+            raise not_numeric
         parts = raw.split()
         if len(parts) != count:
             raise ParseFailure(f"attribute '{attr}' of <{element.tag}> must hold {count} "
                                f"numbers, got {len(parts)}", element.line, element.column)
-        try:
-            values = tuple(map(float, parts))
-        except ValueError:
-            raise ParseFailure(f"attribute '{attr}' of <{element.tag}> is not numeric: {raw!r}",
-                               element.line, element.column) from None
+        if not all(_ASCII_FLOAT.fullmatch(part) for part in parts):
+            raise not_numeric
+        values = tuple(map(float, parts))
         if not all(map(math.isfinite, values)):
             self.notice(element, f"attribute '{attr}' holds a non-finite value")
         return values[0] if count == 1 else values

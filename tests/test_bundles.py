@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from urdf_inspect import bundles
+from urdf_inspect import _fs
 from urdf_inspect.bundles import (
     LicenseId,
     StructureClass,
@@ -386,7 +386,7 @@ class TestLicenseDetection:
         assert capsys.readouterr().err.splitlines() == [
             f"warning: cannot list {bundle / 'legal'}: linked directory, not followed"]
         errors: list[OSError] = []
-        listing = bundles._walk(bundle, "*", errors)  # a list collects it
+        listing = _fs.walk(bundle, "*", errors)  # a list collects it
         assert detect_license(bundle, listing) is LicenseId.UNKNOWN
         assert capsys.readouterr().err == ""
         assert [(e.filename, e.strerror) for e in errors] == [

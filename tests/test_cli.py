@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import urdf_inspect
-from urdf_inspect import bundles, cli, compare, dedup, report
+from urdf_inspect import _fs, bundles, cli, compare, report
 from urdf_inspect.cli import run_cli
 from urdf_inspect.model import RobotModel
 
@@ -33,16 +33,16 @@ def read_csv(path: Path):
 
 
 def _unreadable(monkeypatch, hit) -> None:
-    """Make ``dedup._open``, which every file read goes through, fail with
+    """Make ``_fs.open_file``, which every file read goes through, fail with
     ``Permission denied`` for each path that ``hit`` accepts."""
-    real_open = dedup._open
+    real_open = _fs.open_file
 
     def failing(path):
         if hit(path):
             raise PermissionError(errno.EACCES, "Permission denied", str(path))
         return real_open(path)
 
-    monkeypatch.setattr(dedup, "_open", failing)
+    monkeypatch.setattr(_fs, "open_file", failing)
 
 
 class TestValidateCommand:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import urdf_inspect
-from urdf_inspect import dedup
+from urdf_inspect import _fs, dedup
 from urdf_inspect.dedup import find_duplicates, is_text_payload, normalize
 
 from conftest import symlink
@@ -104,10 +104,10 @@ def make_fixture_tree(root: Path, rng: random.Random, n_payloads: int = 40) -> l
 
 @pytest.fixture
 def served(monkeypatch) -> dict[Path, int]:
-    """Bytes that reads through ``dedup._open``, which opens every file
+    """Bytes that reads through ``_fs.open_file``, which opens every file
     that dedup reads, served, per path."""
     served: dict[Path, int] = {}
-    real_open = dedup._open
+    real_open = _fs.open_file
 
     class Counting:
         def __init__(self, path, fh):
@@ -127,7 +127,7 @@ def served(monkeypatch) -> dict[Path, int]:
         def __exit__(self, *exc):
             self.fh.close()
 
-    monkeypatch.setattr(dedup, "_open", lambda path: Counting(path, real_open(path)))
+    monkeypatch.setattr(_fs, "open_file", lambda path: Counting(path, real_open(path)))
     return served
 
 

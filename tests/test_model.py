@@ -125,6 +125,17 @@ def test_non_numeric_attribute_is_fatal():
                    '<geometry><box size="a b c"/></geometry></visual></link></robot>')
 
 
+@pytest.mark.parametrize("xyz", ["1_0 0 0", "\uff11 0 0", "\u0663 0 0", "1\xa00 0"])
+def test_only_ascii_numbers_without_separators_are_numeric(xyz):
+    """float() takes a ``_`` digit separator and non-ASCII digits, and
+    split() splits on a no-break space; urdfdom takes none of them."""
+    text = ('<robot name="r">\n<link name="a"/><link name="b"/>\n'
+            '<joint name="j" type="fixed"><parent link="a"/><child link="b"/>\n'
+            f'  <origin xyz="{xyz}"/></joint>\n</robot>')
+    expected = (f"attribute 'xyz' of <origin> is not numeric: {xyz!r}", 4, 2)
+    assert outcome(parse_urdf, text) == outcome(oracle_parse_urdf, text) == expected
+
+
 def test_unknown_element_becomes_notice():
     model = parse_urdf('<robot name="r"><link name="a"/><frobnicator/></robot>')
     assert any("frobnicator" in n.message for n in model.notices)
@@ -492,7 +503,8 @@ ATTRIBUTES = {
     "inertia": ["ixx", "ixy", "ixz", "iyy", "iyz", "izz"], "color": ["rgba"],
 }
 FINITE = st.sampled_from(["0", "1", "-1", "0.5", "2e-3", " 3 "])
-ANY_NUMBER = st.sampled_from(["1", "-2", "nan", "inf", "-inf", "x", "1,2"])
+ANY_NUMBER = st.sampled_from(["1", "-2", "nan", "inf", "-inf", "x", "1,2", "1_0", "\uff11",
+                              "1\xa00"])
 
 
 def numbers(count):
