@@ -1,11 +1,13 @@
 """Every read and listing of a dataset checkout, by one set of rules.
 
-Only regular files are read: ``open_file`` fails at once for anything
-else, so a named pipe cannot block a run.  No hidden directory (``.*``)
-and no linked one is entered, at the corpus root as below it; a linked
-one is listed and named instead.  Each directory that cannot be listed
-or is linked is named once per run on stderr, as ``warning: cannot list
-DIR: REASON``; an ``OSError``'s reason is its ``strerror``, else its message.
+Every file is read by one call, ``read(path, offset, size)``: it opens,
+reads and closes the file, and returns the stat it took with the bytes.
+Only regular files are read: anything else fails at once, so a named
+pipe cannot block a run.  No hidden directory (``.*``) and no linked one
+is entered, at the corpus root as below it; a linked one is listed and
+named instead.  Each directory that cannot be listed or is linked is
+named once per run on stderr, as ``warning: cannot list DIR: REASON``;
+an ``OSError``'s reason is its ``strerror``, else its message.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import BinaryIO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 def reason(exc: OSError) -> str:
@@ -34,24 +36,24 @@ def warn_skipped(skipped: Iterable[OSError]) -> None:
         warn_unlistable(exc)
 
 
-def open_file(path: Path | str) -> BinaryIO:
-    """``path`` opened for reading, or an ``OSError`` at once if it is not
-    a regular file: opening or reading a named pipe could block, and a
-    socket cannot be opened (ENXIO)."""
+def read(path: Path | str, offset: int = 0, size: int = -1) -> tuple[os.stat_result, bytes]:
+    """The stat of the regular file at ``path`` and its ``size`` bytes from
+    ``offset`` on, or all of them when ``size`` is negative; fewer only
+    where the file ends.  Anything but a regular file is an ``OSError`` at
+    once: opening or reading a named pipe could block, and a socket cannot
+    be opened (ENXIO).  The file is closed before this returns."""
     nonblocking = getattr(os, "O_NONBLOCK", 0)  # a POSIX flag
     try:
         fh = open(path, "rb", opener=lambda name, flags: os.open(name, flags | nonblocking))
     except OSError as exc:
         raise OSError("not a regular file") if exc.errno == errno.ENXIO else exc
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        fh.close()
-        raise OSError("not a regular file")
-    return fh
-
-
-def read_file(path: Path | str) -> bytes:
-    with open_file(path) as fh:
-        return fh.read()
+    with fh:  # buffered: its read returns short only at the end of the file
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise OSError("not a regular file")
+        fh.seek(offset)
+        left = max(0, st.st_size - offset)  # asked for no more: a read allocates all it asks for
+        return st, fh.read(left if size < 0 else min(size, left))
 
 
 def _entered(top: str, dirs: list[str], onerror) -> list[str]:

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 MESH_EXTENSIONS = ("stl", "dae", "obj")
+SOURCE_INFO, META_INFO = "source-information.json", "meta-information.json"  # the metadata files
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def _load_json(path: Path):
     """The JSON value of a regular file; None when there is none to read,
     also when it nests too deep or holds a number too long to convert."""
     try:
-        return json.loads(_fs.read_file(path).decode("utf-8", errors="replace"))
+        return json.loads(_fs.read(path)[1].decode("utf-8", errors="replace"))
     except (OSError, ValueError, RecursionError):
         return None
 
@@ -177,13 +178,13 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
     """
     records: list[BundleRecord] = []
     for source_dir in _fs.sources(_fs.corpus_root(root), errors):
-        info = _load_json(source_dir / "source-information.json")
+        info = _load_json(source_dir / SOURCE_INFO)
         info = info if isinstance(info, dict) else {}
         source = (_text(info.get("name"), source_dir.name), _meta(info, "url", ""))
 
         described: set[str] = set()  # real paths: a symlink loop has one, where resolve() raises
         source_records: list[BundleRecord] = []
-        meta_paths = _fs.walk(source_dir, "meta-information.json", errors).paths
+        meta_paths = _fs.walk(source_dir, META_INFO, errors).paths
         for meta_path in sorted(map(Path, meta_paths)):
             bundle_dir = meta_path.parent
             data = _load_json(meta_path)
@@ -191,7 +192,7 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
             if not entries:
                 source_records.append(_record(source, bundle_dir, Path(), {},
                                               str(bundle_dir.relative_to(source_dir)),
-                                              "unreadable meta-information.json"))
+                                              f"unreadable {META_INFO}"))
             for entry in entries:
                 rel = _meta(entry, "urdf", "")
                 notices = []
@@ -207,7 +208,7 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
             if os.path.realpath(urdf) not in described:
                 source_records.append(_record(source, urdf.parent, Path(urdf.name), {},
                                               str(urdf.relative_to(source_dir)),
-                                              "no meta-information.json describes this file"))
+                                              f"no {META_INFO} describes this file"))
 
         dup_ids = {i for i, n in Counter(r.id for r in source_records if r.id).items() if n > 1}
         if dup_ids:
@@ -309,13 +310,13 @@ def _fingerprint(text: str) -> LicenseId | None:
 
 def detect_license(bundle_dir: Path | str, listing: _fs.Listing | None = None) -> LicenseId:
     """Fingerprint LICENSE/COPYING-style files under a bundle directory, in
-    ``str`` order, skipping what ``_fs.open_file`` cannot open.  They are
+    ``str`` order, skipping what ``_fs.read`` cannot read.  They are
     looked up as ``classify_structure`` looks up a layout."""
     bundle_dir = Path(bundle_dir)
     paths = _fs.walk(bundle_dir).paths if listing is None else listing.below(str(bundle_dir))
     for path in (p for p in paths if _LICENSE_FILE.match(os.path.basename(p))):
         try:
-            text = _fs.read_file(path).decode("utf-8", errors="replace")
+            text = _fs.read(path)[1].decode("utf-8", errors="replace")
         except OSError:
             continue
         found = _fingerprint(_normalize_license_text(text))

@@ -152,11 +152,11 @@ class _Corpus:
 def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnostic]]:
     """Read, validate and sanity-check one URDF file.
 
-    Returns (bytes, model, diagnostics); a file that ``_fs.read_file``
+    Returns (bytes, model, diagnostics); a file that ``_fs.read``
     cannot read has no bytes and no model, and one F diagnostic saying why.
     """
     try:
-        raw = _fs.read_file(path)
+        raw = _fs.read(path)[1]
     except OSError as exc:
         return None, None, [Diagnostic("error", "F", "document",
                                        f"cannot read file: {_fs.reason(exc)}")]
@@ -284,7 +284,7 @@ def _stats_tables(corpus: _Corpus) -> list[report.ReportTable]:
 
 def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
     files = [p for p in corpus.listing.paths if p not in corpus.listing.dirs
-             and os.path.basename(p) not in ("source-information.json", "meta-information.json")]
+             and os.path.basename(p) not in (bundles.SOURCE_INFO, bundles.META_INFO)]
     io_errors: list = []
     groups = dedup.find_duplicates(files, errors=io_errors)
     for path, exc in io_errors:

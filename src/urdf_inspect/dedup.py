@@ -19,12 +19,12 @@ the same offsets.  A pass-2 class holding two or more paths is a group,
 so a text file is normalized at most once per copy class, and only when
 another file shares its head.  Each pass-2 class keeps the size and one
 running MD5 of what it read, which become the group's size and digest.
-Byte equality, never the digest, decides membership.  ``_fs`` opens each file."""
+Byte equality, never the digest, decides membership.  Each read is one
+``_fs.read``, whose stat gives the file's identity and its end."""
 
 from __future__ import annotations
 
 import hashlib
-import os
 import zlib
 from dataclasses import dataclass
 from itertools import chain, count
@@ -88,31 +88,26 @@ def _head_key(path: Path) -> tuple[int, bool, object]:
 
     ``normalize(raw[:k])`` is a prefix of ``normalize(raw)``, so a text
     file is read only until its prefix normalizes to a KiB or it ends."""
-    with _fs.open_file(path) as fh:
-        st = os.fstat(fh.fileno())
-        identity = (st.st_dev, st.st_ino) if st.st_ino else path
-        raw = fh.read(1024)
-        text = is_text_payload(path, raw)
-        head = normalize(raw, True) if text else raw
-        while text and len(head) < 1024 and (more := fh.read(len(raw))):
-            raw += more
-            head = normalize(raw, True)
-    return zlib.crc32(head[:1024]), text, identity
+    st, raw = _fs.read(path, 0, 1024)
+    text = is_text_payload(path, raw)
+    head = normalize(raw, True) if text else raw
+    while text and len(head) < 1024 and len(raw) < st.st_size and (
+            more := _fs.read(path, len(raw), len(raw))[1]):
+        raw += more
+        head = normalize(raw, True)
+    return zlib.crc32(head[:1024]), text, (st.st_dev, st.st_ino) if st.st_ino else path
 
 
 def _raw_chunks(path: Path) -> Iterator[bytes]:
     """The raw content of one file in non-empty pieces: ``_CHUNK`` bytes
-    each up to a short last one.  No file stays open between reads: a
-    bucket may hold more files than can be open at once."""
+    each up to a short last one, each one ``_fs.read``.  No file stays
+    open between pieces: a bucket may hold more files than can be open
+    at once."""
     for offset in count(0, _CHUNK):
-        with _fs.open_file(path) as fh:
-            fh.seek(offset)
-            left = os.fstat(fh.fileno()).st_size - offset
-            # no larger than what is left: a read allocates all it asks for
-            raw = fh.read(min(_CHUNK, max(0, left)))
+        st, raw = _fs.read(path, offset, _CHUNK)
         if raw:
             yield raw
-        if len(raw) < _CHUNK or left <= _CHUNK:
+        if st.st_size <= offset + _CHUNK:
             return
 
 

@@ -201,6 +201,19 @@ class TestScanCorpus:
         assert (record.id, record.source_url, record.notices) == (
             "b", "https://example.org/solo", ("unreadable meta-information.json",))
 
+    def test_id_repeated_within_a_source_is_noted_on_each(self, tmp_path):
+        source = write_source(tmp_path / "corpus", "solo")
+        for dirname in ("a_description", "b_description"):
+            write_bundle(source, dirname, simple_urdf(), bundle_id="twin")
+        write_bundle(source, "c_description", simple_urdf())
+        notices = {r.root_dir.name: r.notices for r in scan_corpus(tmp_path / "corpus")}
+        assert notices == {"a_description": ("id 'twin' is not unique within source",),
+                           "b_description": ("id 'twin' is not unique within source",),
+                           "c_description": ()}
+
+    def test_id_repeated_across_sources_is_not_noted(self, small_corpus):
+        assert all(r.notices == () for r in scan_corpus(small_corpus))
+
     def test_rescan_is_idempotent(self, small_corpus):
         assert scan_corpus(small_corpus) == scan_corpus(small_corpus)
 
@@ -325,6 +338,11 @@ class TestMeshInventory:
         model = parse_urdf(simple_urdf(visual_mesh="weird.ply"))
         assert mesh_inventory(model).visual == {"other": 1}
 
+    @pytest.mark.parametrize("uri", ["meshes/hull", "package://pkg.v2/meshes/hull", "hull."])
+    def test_uri_without_extension_is_other(self, uri):
+        model = parse_urdf(simple_urdf(visual_mesh=uri))
+        assert mesh_inventory(model).visual == {"other": 1}
+
     def test_invariant_under_link_reordering(self):
         a = parse_urdf(simple_urdf(visual_mesh="x.stl"))
         text = """<robot name="robot">
@@ -362,6 +380,23 @@ class TestLicenseDetection:
         (bundle / "deep").mkdir(parents=True)
         (bundle / "deep" / "COPYING.txt").write_text(MIT)
         assert detect_license(bundle) is LicenseId.MIT
+
+    @pytest.mark.parametrize("kind", ["directory", "dangling link", "named pipe"])
+    def test_unreadable_license_file_skipped_for_the_next(self, tmp_path, kind):
+        bundle = tmp_path / "x"
+        bundle.mkdir()
+        first = bundle / "COPYING"  # before LICENSE in str order
+        if kind == "directory":
+            first.mkdir()
+        elif kind == "dangling link":
+            symlink("nowhere", first)
+        elif hasattr(os, "mkfifo"):
+            os.mkfifo(first)
+        else:
+            pytest.skip("needs named pipes")
+        (bundle / "LICENSE").write_text(BSD3)
+        assert detect_license(bundle) is LicenseId.BSD_3
+        assert detect_license(bundle, _fs.walk(tmp_path)) is LicenseId.BSD_3
 
     def test_unrelated_text_is_unknown(self, tmp_path):
         bundle = tmp_path / "x"

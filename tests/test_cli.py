@@ -33,16 +33,16 @@ def read_csv(path: Path):
 
 
 def _unreadable(monkeypatch, hit) -> None:
-    """Make ``_fs.open_file``, which every file read goes through, fail with
+    """Make ``_fs.read``, which every file read goes through, fail with
     ``Permission denied`` for each path that ``hit`` accepts."""
-    real_open = _fs.open_file
+    real_read = _fs.read
 
-    def failing(path):
+    def failing(path, *args):
         if hit(path):
             raise PermissionError(errno.EACCES, "Permission denied", str(path))
-        return real_open(path)
+        return real_read(path, *args)
 
-    monkeypatch.setattr(_fs, "open_file", failing)
+    monkeypatch.setattr(_fs, "read", failing)
 
 
 class TestValidateCommand:

@@ -104,30 +104,16 @@ def make_fixture_tree(root: Path, rng: random.Random, n_payloads: int = 40) -> l
 
 @pytest.fixture
 def served(monkeypatch) -> dict[Path, int]:
-    """Bytes that reads through ``_fs.open_file``, which opens every file
-    that dedup reads, served, per path."""
+    """Bytes served per path by ``_fs.read``, through which dedup makes every read."""
     served: dict[Path, int] = {}
-    real_open = _fs.open_file
+    real_read = _fs.read
 
-    class Counting:
-        def __init__(self, path, fh):
-            self.path, self.fh = path, fh
+    def counting(path, *args):
+        st, data = real_read(path, *args)
+        served[path] = served.get(path, 0) + len(data)
+        return st, data
 
-        def read(self, size=-1):
-            data = self.fh.read(size)
-            served[self.path] = served.get(self.path, 0) + len(data)
-            return data
-
-        def __getattr__(self, name):
-            return getattr(self.fh, name)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-    monkeypatch.setattr(_fs, "open_file", lambda path: Counting(path, real_open(path)))
+    monkeypatch.setattr(_fs, "read", counting)
     return served
 
 

@@ -1,7 +1,9 @@
 import ast
 import fnmatch
+import io
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -115,3 +117,47 @@ def test_walk_is_the_unpruned_walk_filtered(tree, data, pattern):
                                                     for n in NAMES)}:
             assert everything.below(directory) == [
                 p for p in everything.paths if p.startswith(directory + os.sep)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.binary(max_size=3000), offset=st.integers(0, 4000), size=st.integers(-2, 4000))
+def test_read_is_the_piece_and_the_stat(data, offset, size):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        path.write_bytes(data)
+        st, piece = _fs.read(path, offset, size)
+        assert piece == (data[offset:] if size < 0 else data[offset:offset + size])
+        assert (st.st_size, st.st_ino) == (len(data), os.stat(path).st_ino)
+        assert _fs.read(str(path))[1] == data
+
+
+def test_read_asks_for_no_more_than_the_file_holds(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"x" * 100)
+    tracemalloc.start()
+    try:
+        assert _fs.read(path, 10, 64 << 20)[1] == b"x" * 90
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+class _Dribbling(io.FileIO):
+    """A file each read of which returns at most 7 bytes, as reads of a
+    network file system may."""
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer)[:7])
+
+    def read(self, size=-1):
+        return super().read(7 if size < 0 else min(size, 7))
+
+
+def test_read_goes_on_past_a_short_read(tmp_path, monkeypatch):
+    path = tmp_path / "f"
+    path.write_bytes(bytes(range(100)))
+    monkeypatch.setattr(_fs, "open", lambda file, mode, opener: io.BufferedReader(
+        _Dribbling(file, "r", opener=opener)), raising=False)
+    assert _fs.read(path, 5, 50)[1] == bytes(range(5, 55))
+    assert _fs.read(path)[1] == bytes(range(100))

@@ -115,6 +115,15 @@ class TestBuildTree:
         assert [j.name for j in tree.actuated] == ["a_root", "b_root", "tip", "b_mid"]
         assert tree.leaves() == ["l2", "l5", "l3"]
 
+    def test_joint_naming_an_undeclared_link_rejected(self):
+        text = ('<robot name="r"><link name="a"/>'
+                '<joint name="j" type="fixed"><parent link="a"/><child link="ghost"/></joint>'
+                "</robot>")
+        with pytest.raises(TreeError) as info:
+            build_tree(parse_urdf(text))
+        assert (info.value.reason, str(info.value)) == (
+            "disconnected", "joint 'j' references an undeclared link")
+
     def test_zero_axis_rejected(self):
         text = chain_urdf([("revolute", (0, 0, 1), (0, 0, 0), (0, 0, 0))])
         with pytest.raises(TreeError) as info:
@@ -241,6 +250,15 @@ class TestFkEquivalent:
             fk_equivalent(ta, tb)
         assert info.value.reason == "joint_kinds"
 
+    def test_leaf_count_mismatch(self):
+        chain = [("j1", "revolute", 0, (0, 0, 0.5), (0, 0, 0), (0, 1, 0)),
+                 ("j2", "fixed", 1, (0, 0, 0.5), (0, 0, 0), (1, 0, 0))]
+        fork = [chain[0], ("j2", "fixed", 0, (0, 0, 0.5), (0, 0, 0), (1, 0, 0))]
+        ta, tb = (build_tree(parse_urdf(tree_urdf(joints))) for joints in (chain, fork))
+        with pytest.raises(Incomparable) as info:
+            fk_equivalent(ta, tb)
+        assert (info.value.reason, str(info.value)) == ("leaf_count", "1 vs 2 leaf links")
+
     def test_revolute_and_continuous_pair_up(self):
         revolute = [("revolute", (0, 0, 0.5), (0, 0, 0), (0, 1, 0)), self.BASE[1]]
         ta, tb = self._pair(self.BASE, revolute)
@@ -269,6 +287,18 @@ class TestFkEquivalent:
         assert len(outcome.samples) == 16
         for config in outcome.samples:
             assert 0.25 <= config[0] <= 0.5
+
+    def test_prismatic_limit_without_bounds_samples_one_meter_each_way(self):
+        unbounded = [("prismatic", (0, 0, 0.5), (0, 0, 0), (0, 0, 1))]  # <limit> without bounds
+        tree = build_tree(parse_urdf(chain_urdf(unbounded)))
+        assert tree.actuated[0].limit.lower is None and tree.actuated[0].limit.upper is None
+        outcome = fk_equivalent(tree, tree)
+        assert outcome.equal
+        values = [config[0] for config in outcome.samples]
+        assert -1.0 <= min(values) < 0 < max(values) <= 1.0  # both ways, not one point
+        bounded = build_tree(parse_urdf(tree_urdf(
+            [("j", "prismatic", 0, (0, 0, 0.5), (0, 0, 0), (0, 0, 1))], limits=[(-3, 0.5)])))
+        assert all(-1.0 <= config[0] <= 0.5 for config in fk_equivalent(tree, bounded).samples)
 
 
 NUMBER = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 3))

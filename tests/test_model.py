@@ -242,6 +242,26 @@ def test_visual_without_geometry_skipped_with_notice():
     assert len(model.notices) == 1
 
 
+@pytest.mark.parametrize("shapes,messages", [
+    ("", ["<geometry> holds no recognized shape; skipped"]),
+    ('<capsule radius="1" length="2"/>',
+     ["unknown geometry shape <capsule>", "<geometry> holds no recognized shape; skipped"]),
+])
+def test_geometry_without_a_recognized_shape_skipped_with_notice(shapes, messages):
+    model = parse_urdf('<robot name="r"><link name="a"><collision>'
+                       f"<geometry>{shapes}</geometry></collision></link></robot>")
+    assert model.links[0].collisions == ()
+    assert [n.message for n in model.notices] == messages
+
+
+def test_negative_mass_kept_with_notice():
+    model = parse_urdf('<robot name="r"><link name="a"><inertial><mass value="-2.5"/>'
+                       '<inertia ixx="1" ixy="0" ixz="0" iyy="1" iyz="0" izz="1"/>'
+                       "</inertial></link></robot>")
+    assert model.links[0].inertial.mass == -2.5
+    assert [(n.subject, n.message) for n in model.notices] == [("mass", "negative mass")]
+
+
 # Every numeric attribute the parser reads, one element a line.  A
 # placeholder is the attribute's key in NUMERIC: (attribute, arity, value).
 NUMERIC_DOC = """<robot name="r">

@@ -50,6 +50,11 @@ class TestEmit:
         assert render(table, "csv") == b"a,b,c\r\ntrue,false,\r\n"
         assert json.loads(render(table, "json")) == [{"a": True, "b": False, "c": None}]
 
+    def test_float_cells_render_as_repr(self):
+        table = ReportTable("t", ("a", "b", "c"), ((0.1, 2.0, 1e-07),))
+        assert render(table, "csv") == b"a,b,c\r\n0.1,2.0,1e-07\r\n"
+        assert json.loads(render(table, "json")) == [{"a": 0.1, "b": 2.0, "c": 1e-07}]
+
     def test_row_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ReportTable("t", ("a", "b"), (("only",),))
