@@ -58,6 +58,7 @@ class BundleRecord:
     xacro_generated_by_dataset: bool
     root_dir: Path
     notices: tuple[str, ...] = ()
+    source_path: Path = Path()  # root_dir below its source's directory
 
     @property
     def urdf_file(self) -> Path:
@@ -144,11 +145,11 @@ def _text(value, default: str) -> str:
     return value if isinstance(value, str) and value else default
 
 
-def _record(source: tuple[str, str], bundle_dir: Path, urdf_path: Path, entry: dict,
+def _record(source: tuple[str, str, Path], bundle_dir: Path, urdf_path: Path, entry: dict,
             fallback_id: str, *notices: str) -> BundleRecord:
-    """The record of one URDF; ``source`` is the source's (name, URL) and
-    ``entry`` its meta entry, ``{}`` when none describes it."""
-    source_name, source_url = source
+    """The record of one URDF; ``source`` is the source's (name, URL, directory)
+    and ``entry`` its meta entry, ``{}`` when none describes it."""
+    source_name, source_url, source_dir = source
     return BundleRecord(
         id=_meta(entry, "id", fallback_id),
         robot_name=_meta(entry, "name", ""),
@@ -160,6 +161,7 @@ def _record(source: tuple[str, str], bundle_dir: Path, urdf_path: Path, entry: d
         xacro_generated_by_dataset=_meta(entry, "xacro", False),
         root_dir=bundle_dir,
         notices=notices,
+        source_path=bundle_dir.relative_to(source_dir),
     )
 
 
@@ -180,7 +182,7 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
     for source_dir in _fs.sources(_fs.corpus_root(root), errors):
         info = _load_json(source_dir / SOURCE_INFO)
         info = info if isinstance(info, dict) else {}
-        source = (_text(info.get("name"), source_dir.name), _meta(info, "url", ""))
+        source = (_text(info.get("name"), source_dir.name), _meta(info, "url", ""), source_dir)
 
         described: set[str] = set()  # real paths: a symlink loop has one, where resolve() raises
         source_records: list[BundleRecord] = []

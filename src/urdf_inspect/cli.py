@@ -8,17 +8,17 @@ Subcommands:
     dupes <root>          duplicate-file groups
     stats <root>          model/name/contact/license tables
 
-The corpus commands parse each URDF they load once: scan, stats and
-dupes load every bundle (though no dupes table reads one), compare only
-the members of multiply defined robots.  A bundle keeps only the facts
-the tables read: its diagnostics and, under scan and stats, its xacro
-banner, contact markers, mesh inventory, name-term counts and link and
-joint counts.  Under scan and compare, each multiply defined robot is
-compared as soon as its members load, so no parsed model outlives its group.
-Every file is read, and every directory listed, by the rules of ``_fs``.
-Each source is walked twice for its bundles; scan, stats and dupes walk
-the root once more, and their structures, licenses and dupes tables read
-only that walk.
+Each corpus command is an ordered list of tables (``_COMMANDS``), and each
+table declares what it reads (``_TABLES``): the bundle facts, every bundle,
+the robot groups, the root listing or the duplicate groups.  A command
+loads only the union of what its tables read, except that dupes loads
+every bundle.  A loaded URDF is parsed once, and its bundle keeps its
+diagnostics and, when read, its facts: xacro banner, contact markers, mesh
+inventory, name-term counts and link and joint counts.  Each multiply
+defined robot is compared as soon as its members load, so no parsed model
+outlives its group.  Every file is read, and every directory listed, by
+the rules of ``_fs``: each source is walked twice for its bundles, and the
+root once more when a table reads the listing or the duplicate groups.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage error,
 3 I/O failure.
@@ -32,6 +32,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import _fs, bundles, compare, dedup, report
 from .bundles import BundleRecord, ContactMarkers, MeshInventory
@@ -71,12 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", help="validate URDF files").add_argument("path", type=Path)
     sub.add_parser("inspect", help="show model information").add_argument("path", type=Path)
-    for name, help_text in (
-        ("scan", "run every corpus analysis"),
-        ("compare", "compare multiply defined robots"),
-        ("dupes", "find duplicate files"),
-        ("stats", "model/name/contact/license statistics"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         sub.add_parser(name, help=help_text).add_argument("root", type=Path)
     return parser
 
@@ -97,14 +93,7 @@ def run_cli(argv: list[str]) -> int:
         if args.command == "inspect":
             return _cmd_inspect(args)
         corpus = _load_corpus(args)
-        if args.command == "scan":
-            tables = _corpus_tables(corpus)
-        elif args.command == "compare":
-            tables = [report.discrepancies_table(corpus.discrepancies)]
-        elif args.command == "dupes":
-            tables = _dupes_tables(corpus)
-        else:  # stats lists scan's last four tables in reverse
-            tables = _stats_tables(corpus)[::-1]
+        tables = [_TABLES[name][1](corpus) for name in _COMMANDS[args.command][1]]
         _fs.warn_skipped(corpus.skipped)
         _emit_tables(args, tables)
         return EXIT_OK
@@ -125,7 +114,7 @@ def main() -> None:
 @dataclass
 class _Entry:
     """One bundle, reduced to what the tables read of its URDF.  Every fact
-    but the diagnostics stays at its default when the command reads none."""
+    but the diagnostics stays at its default when no table reads the facts."""
 
     record: BundleRecord
     diagnostics: list[Diagnostic]
@@ -137,7 +126,9 @@ class _Entry:
 
     @property
     def rel_file(self) -> str:
-        return f"{self.record.source_name}/{self.record.id or self.record.urdf_path.as_posix()}"
+        """The source name, then the record's id or, without one, the URDF's path in its source."""
+        record = self.record
+        return f"{record.source_name}/{record.id or (record.source_path / record.urdf_path).as_posix()}"
 
 
 @dataclass
@@ -146,7 +137,8 @@ class _Corpus:
     entries: list[_Entry]
     discrepancies: list[tuple[str, str, str, compare.DiscrepancyReport]]  # sorted rows, if compared
     skipped: list[OSError]  # directories a walk did not enter, repeats included
-    listing: _fs.Listing | None  # the root's, under every command but compare
+    listing: _fs.Listing | None  # the root's, if a table reads it or the duplicate groups
+    duplicates: list[dedup.DuplicateGroup]  # found in the listing, if a table reads them
 
 
 def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnostic]]:
@@ -187,21 +179,36 @@ def _load_entry(record: BundleRecord, facts: bool) -> tuple[_Entry, RobotModel |
 
 
 def _load_corpus(args: argparse.Namespace) -> _Corpus:
-    """The bundles under ``args.root``, each URDF parsed once: under compare
-    only the group members, and no entries kept; the table facts only under
-    scan and stats.  Multiply defined robots load and compare first, one at a time."""
-    facts = args.command in ("scan", "stats")
+    """What the tables of ``args.command`` read of the corpus under ``args.root``, each URDF
+    parsed once.  Multiply defined robots load and compare first, one at a time; a member's
+    entry is kept only when a table reads every bundle."""
+    reads = set().union(*(_TABLES[name][0] for name in _COMMANDS[args.command][1]))
+    if args.command == "dupes":  # no table of it reads a bundle, but the benchmark's
+        reads.add(BUNDLES)  # ground truth counts one parse per bundle under every command
+    facts = FACTS in reads
     skipped: list[OSError] = []
     records = bundles.scan_corpus(args.root, skipped)
     members: dict[int, _Entry] = {}  # by id of their record
-    groups = compare.find_multiply_defined(records) if args.command in ("scan", "compare") else {}
+    groups = compare.find_multiply_defined(records) if GROUPS in reads else {}
     rows = sorted((_compare(args, group, facts, members) for group in groups.values()),
                   key=lambda row: row[:2])  # by robot name, then manufacturer
-    entries = [] if args.command == "compare" else [
-        members.pop(id(r), None) or _load_entry(r, facts)[0] for r in records]
+    entries = [members.pop(id(r), None) or _load_entry(r, facts)[0]
+               for r in records] if BUNDLES in reads else []
     root = _fs.corpus_root(args.root)
-    listing = None if args.command == "compare" else _fs.walk(root, "*", skipped)
-    return _Corpus(root, entries, rows, skipped, listing)
+    listing = _fs.walk(root, "*", skipped) if reads & {LISTING, DUPLICATES} else None
+    duplicates = _find_duplicates(listing) if DUPLICATES in reads else []
+    return _Corpus(root, entries, rows, skipped, listing, duplicates)
+
+
+def _find_duplicates(listing: _fs.Listing) -> list[dedup.DuplicateGroup]:
+    """The duplicate groups of the listed files but the metadata files, naming each unreadable one."""
+    files = [p for p in listing.paths if p not in listing.dirs
+             and os.path.basename(p) not in (bundles.SOURCE_INFO, bundles.META_INFO)]
+    io_errors: list = []
+    groups = dedup.find_duplicates(files, errors=io_errors)
+    for path, exc in io_errors:
+        print(f"warning: skipped unreadable {path}: {_fs.reason(exc)}", file=sys.stderr)
+    return groups
 
 
 def _compare(args: argparse.Namespace, group: list[BundleRecord], facts: bool,
@@ -213,6 +220,45 @@ def _compare(args: argparse.Namespace, group: list[BundleRecord], facts: bool,
     rep = compare.compare_group([(entry.record, model, text) for entry, model, text in loaded],
                                 fk_tol=args.fk_tol)
     return group[0].robot_name, group[0].manufacturer, group[0].robot_type, rep
+
+
+# Each corpus table: what it reads of the corpus (the bundle facts, every bundle, the robot
+# groups, the root listing, the duplicate groups) and its builder.  scan writes them in this order.
+FACTS, BUNDLES, GROUPS, LISTING, DUPLICATES = "facts", "bundles", "groups", "listing", "duplicates"
+_TABLES: dict[str, tuple[set[str], Callable[[_Corpus], report.ReportTable]]] = {
+    "structures": ({BUNDLES, LISTING}, lambda c: report.structures_table(
+        [(e.record.source_name, bundles.classify_structure(e.record.root_dir, c.listing))
+         for e in c.entries])),
+    "xacro": ({BUNDLES, FACTS}, lambda c: report.xacro_table(
+        [(e.record.source_name, e.record.xacro_generated_by_dataset, e.xacro_banner)
+         for e in c.entries])),
+    "parsing_errors": ({BUNDLES}, lambda c: report.parsing_errors_table(
+        [(e.rel_file, d) for e in c.entries for d in e.diagnostics])),
+    "mesh_types": ({BUNDLES, FACTS}, lambda c: report.mesh_types_table(
+        [(e.record.source_name, e.meshes) for e in c.entries if e.meshes is not None])),
+    "duplicates": ({DUPLICATES}, lambda c: report.duplicates_table(c.root, c.duplicates)),
+    "duplicates_cross_source": ({DUPLICATES}, lambda c: report.duplicates_cross_source_table(
+        c.root, c.duplicates)),
+    "discrepancies": ({GROUPS}, lambda c: report.discrepancies_table(c.discrepancies)),
+    "licenses": ({BUNDLES, LISTING}, lambda c: report.licenses_table(
+        [(e.record.source_name, bundles.detect_license(e.record.root_dir, c.listing))
+         for e in c.entries])),
+    "contact": ({BUNDLES, FACTS}, lambda c: report.contact_table(
+        [e.contact for e in c.entries if e.contact is not None])),
+    "name_stats": ({BUNDLES, FACTS}, lambda c: report.name_stats_table(
+        [(e.record.source_name, e.name_terms) for e in c.entries if e.name_terms is not None])),
+    "model_stats": ({BUNDLES, FACTS}, lambda c: report.model_stats_table(bundles.model_stats(
+        [(e.record.robot_type, *e.size) for e in c.entries if e.size is not None]))),
+}
+
+# Each corpus command: its help text and its tables, in the order it writes them.
+_COMMANDS = {
+    "scan": ("run every corpus analysis", tuple(_TABLES)),
+    "compare": ("compare multiply defined robots", ("discrepancies",)),
+    "dupes": ("find duplicate files", ("duplicates", "duplicates_cross_source")),
+    "stats": ("model/name/contact/license statistics",
+              ("model_stats", "name_stats", "contact", "licenses")),
+}
 
 
 # --------------------------------------------------------------------------
@@ -247,50 +293,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     table = report.model_info_table([(path.name, model, bundles.mesh_inventory(model))])
     _emit_tables(args, [table])
     return EXIT_OK
-
-
-def _corpus_tables(corpus: _Corpus) -> list[report.ReportTable]:
-    structure_rows = [(e.record.source_name,
-                       bundles.classify_structure(e.record.root_dir, corpus.listing))
-                      for e in corpus.entries]
-    xacro_rows = [(e.record.source_name, e.record.xacro_generated_by_dataset, e.xacro_banner)
-                  for e in corpus.entries]
-    diag_rows = [(e.rel_file, d) for e in corpus.entries for d in e.diagnostics]
-    mesh_rows = [(e.record.source_name, e.meshes) for e in corpus.entries if e.meshes is not None]
-    return [
-        report.structures_table(structure_rows),
-        report.xacro_table(xacro_rows),
-        report.parsing_errors_table(diag_rows),
-        report.mesh_types_table(mesh_rows),
-        *_dupes_tables(corpus),
-        report.discrepancies_table(corpus.discrepancies),
-        *_stats_tables(corpus),
-    ]
-
-
-def _stats_tables(corpus: _Corpus) -> list[report.ReportTable]:
-    """The licenses, contact, name_stats and model_stats tables, in scan's order."""
-    parsed = [e for e in corpus.entries if e.size is not None]
-    return [
-        report.licenses_table([(e.record.source_name,
-                                bundles.detect_license(e.record.root_dir, corpus.listing))
-                               for e in corpus.entries]),
-        report.contact_table([e.contact for e in corpus.entries if e.contact is not None]),
-        report.name_stats_table([(e.record.source_name, e.name_terms) for e in parsed]),
-        report.model_stats_table(bundles.model_stats([(e.record.robot_type, *e.size)
-                                                      for e in parsed])),
-    ]
-
-
-def _dupes_tables(corpus: _Corpus) -> list[report.ReportTable]:
-    files = [p for p in corpus.listing.paths if p not in corpus.listing.dirs
-             and os.path.basename(p) not in (bundles.SOURCE_INFO, bundles.META_INFO)]
-    io_errors: list = []
-    groups = dedup.find_duplicates(files, errors=io_errors)
-    for path, exc in io_errors:
-        print(f"warning: skipped unreadable {path}: {_fs.reason(exc)}", file=sys.stderr)
-    return [report.duplicates_table(corpus.root, groups),
-            report.duplicates_cross_source_table(corpus.root, groups)]
 
 
 def _emit_tables(args: argparse.Namespace, tables: list[report.ReportTable]) -> None:

@@ -3,6 +3,7 @@ import errno
 import gc
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -263,6 +264,22 @@ class TestScanCommand:
         assert rows == [["alpha/gripper_description", "error", "F", "document", "0",
                          "cannot read file: Permission denied"]]
         assert {p.stem for p in out.glob("*.csv")} == EXPECTED_TABLES
+
+    def test_records_without_an_id_name_their_urdf_below_the_source(self, tmp_path):
+        # two id-less bundles whose URDFs have one path below their bundle directories
+        root = tmp_path / "corpus"
+        source = write_source(root, "src1")
+        for name in ("arm_description", "leg_description"):
+            (source / name / "urdf").mkdir(parents=True)
+            (source / name / "urdf" / "robot.urdf").write_text('<robot><link name="a"/></robot>')
+            (source / name / "meta-information.json").write_text(
+                json.dumps({"name": name, "urdf-location": "urdf/robot.urdf"}))
+        out = tmp_path / "reports"
+        assert run_cli(["--out", str(out), "scan", str(root)]) == 0
+        assert [row[:3] for row in read_csv(out / "parsing_errors.csv")[1:]] == [
+            ["src1/arm_description/urdf/robot.urdf", "error", "D"],
+            ["src1/leg_description/urdf/robot.urdf", "error", "D"]]
+        assert [r.id for r in bundles.scan_corpus(root)] == ["", ""]  # the ids stay empty
 
     def test_directory_named_urdf_is_an_f_row(self, tmp_path):
         source = write_source(tmp_path / "corpus", "alpha")
@@ -536,6 +553,26 @@ class TestDupesCommand:
             assert [row["path"] for row in json.loads((out / "duplicates.json").read_bytes())] == [
                 f"s1/b/{name}", f"s2/b/{name}"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dupes_tables_match_scan(self, small_corpus, tmp_path, monkeypatch, capsys, fmt):
+        for source in ("alpha", "beta"):
+            meshes = small_corpus / source / "planar_description" / "meshes"
+            (meshes / "base.stl").write_bytes(b"solid base\nendsolid\n")
+            (meshes / "locked.dae").write_bytes(b"<COLLADA/>")
+        locked = small_corpus / "beta" / "planar_description" / "meshes" / "locked.dae"
+        _unreadable(monkeypatch, lambda path: Path(path) == locked)
+        written = {}
+        for command in ("dupes", "scan"):
+            out = tmp_path / command
+            assert run_cli(["--format", fmt, "--out", str(out), command, str(small_corpus)]) == 0
+            tables = {name: (out / f"{name}.{fmt}").read_bytes()
+                      for name in ("duplicates", "duplicates_cross_source")}
+            written[command] = capsys.readouterr().err.splitlines(), tables
+        assert written["dupes"] == written["scan"]
+        assert written["dupes"][0] == [f"warning: skipped unreadable {locked}: Permission denied"]
+        assert b"base.stl" in written["dupes"][1]["duplicates"]
+        assert len(list((tmp_path / "dupes").iterdir())) == 2
+
 
 class TestStatsCommand:
     def test_stats_tables(self, small_corpus, tmp_path):
@@ -716,6 +753,50 @@ def test_only_scan_and_stats_take_bundle_facts(small_corpus, tmp_path, monkeypat
     # and only scan and compare group the robots and compare them
     compares = {"scan": True, "stats": False, "compare": True, "dupes": False}[command]
     assert compared == (["find_multiply_defined", "compare_group"] if compares else [])
+
+
+@pytest.fixture
+def every_table_corpus(small_corpus: Path) -> Path:
+    """small_corpus plus a xacro banner, contact markers, a diagnostic and a
+    duplicate mesh, so that each table of scan holds rows that each of its
+    reads but the listing decides."""
+    mesh = {"base.stl": b"solid base\nendsolid\n"}
+    write_bundle(small_corpus / "alpha", "banner_description",
+                 XACRO_BANNER + "<!-- author: jane@corp.com -->\n" + simple_urdf("banner"),
+                 robot_name="banner", meshes=mesh)
+    write_bundle(small_corpus / "beta", "broken_description", "<robot><link>",
+                 robot_name="broken", meshes=mesh)
+    return small_corpus
+
+
+@pytest.mark.parametrize("name", list(cli._TABLES))
+def test_each_table_declares_what_it_reads(every_table_corpus, tmp_path, monkeypatch, name):
+    assert run_cli(["--out", str(tmp_path / "scan"), "scan", str(every_table_corpus)]) == 0
+    scanned = (tmp_path / "scan" / f"{name}.csv").read_bytes()
+    reads, build = cli._TABLES[name]
+
+    def written(declared: set[str]) -> bytes:
+        """The table, from a corpus loaded with only what ``declared`` names."""
+        out = tmp_path / "_".join(["only", *sorted(declared)])
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._TABLES, name, (declared, build))
+            patch.setitem(cli._COMMANDS, "scan", ("", (name,)))
+            assert run_cli(["--out", str(out), "scan", str(every_table_corpus)]) == 0
+        return (out / f"{name}.csv").read_bytes()
+
+    assert written(reads) == scanned
+    # the corpus tells when a declared read is missing; without the listing,
+    # classify_structure and detect_license walk each bundle themselves
+    for read in reads - {cli.LISTING}:
+        assert written(reads - {read}) != scanned, read
+
+
+def test_command_tables_match_readme():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [line.split("|") for line in readme.splitlines() if line.startswith("| `")]
+    documented = {cells[1].strip(" `"): re.findall(r"`(\w+)`", cells[3]) for cells in rows}
+    assert {command: tuple(documented[command]) for command in cli._COMMANDS} == {
+        command: tables for command, (_, tables) in cli._COMMANDS.items()}
 
 
 def _add_non_members(root: Path) -> None:
