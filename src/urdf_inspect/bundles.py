@@ -3,7 +3,9 @@
 A corpus root holds one directory per source; each source describes its
 robots with ``source-information.json`` and per-bundle
 ``meta-information.json`` files.  A bundle is the directory holding a
-meta file plus the URDF and mesh files it describes.
+meta file plus the URDF and mesh files it describes.  Each record is
+named uniquely in its source: by its metadata id when that is unique
+there, else by its URDF's path below the source directory.
 
 Every file is read, and every directory listed, by the rules of ``_fs``.
 ``scan_corpus`` walks each source twice; one more ``_fs.walk`` of the
@@ -58,7 +60,7 @@ class BundleRecord:
     xacro_generated_by_dataset: bool
     root_dir: Path
     notices: tuple[str, ...] = ()
-    source_path: Path = Path()  # root_dir below its source's directory
+    name: str = ""  # unique in its source: the id when unique there, else the URDF's path below it
 
     @property
     def urdf_file(self) -> Path:
@@ -109,8 +111,9 @@ class ContactMarkers:
 # --------------------------------------------------------------------------
 
 # Metadata key synonyms, most canonical first; source-information.json's
-# URL is read with the same "url" aliases.
+# name is its "source", and its URL is read with the same "url" aliases.
 _META_ALIASES = {
+    "source": ("name",),
     "name": ("name", "robot-name", "robot_name"),
     "type": ("type", "robot-type", "robot_type", "category"),
     "manufacturer": ("manufacturer", "vendor"),
@@ -140,18 +143,15 @@ def _load_json(path: Path):
         return None
 
 
-def _text(value, default: str) -> str:
-    """``value`` when it is a non-empty string, else ``default``."""
-    return value if isinstance(value, str) and value else default
-
-
-def _record(source: tuple[str, str, Path], bundle_dir: Path, urdf_path: Path, entry: dict,
-            fallback_id: str, *notices: str) -> BundleRecord:
-    """The record of one URDF; ``source`` is the source's (name, URL, directory)
-    and ``entry`` its meta entry, ``{}`` when none describes it."""
+def _record(source: tuple[str, str, Path], bundle_dir: Path, urdf_path: Path,
+            entry: dict | None, *notices: str) -> BundleRecord:
+    """The record of one URDF, first named by its path below ``source`` (name, URL,
+    directory); ``entry`` is its meta entry, or None for none, and then the path is its id."""
     source_name, source_url, source_dir = source
+    name = (bundle_dir.relative_to(source_dir) / urdf_path).as_posix()
+    entry = {"id": name} if entry is None else entry
     return BundleRecord(
-        id=_meta(entry, "id", fallback_id),
+        id=_meta(entry, "id", ""),
         robot_name=_meta(entry, "name", ""),
         robot_type=_meta(entry, "type", ""),
         manufacturer=_meta(entry, "manufacturer", ""),
@@ -161,7 +161,7 @@ def _record(source: tuple[str, str, Path], bundle_dir: Path, urdf_path: Path, en
         xacro_generated_by_dataset=_meta(entry, "xacro", False),
         root_dir=bundle_dir,
         notices=notices,
-        source_path=bundle_dir.relative_to(source_dir),
+        name=name,
     )
 
 
@@ -176,13 +176,13 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
     only when it is a boolean; anything else reads as a missing key, the
     flag as false.  Sources and files are found by the rules of ``_fs``,
     so a hidden or linked source gives no record.  Output is ordered by
-    (source, id, urdf path) and stable.
+    (source, id, urdf path) and stable, and each record is named as above.
     """
     records: list[BundleRecord] = []
     for source_dir in _fs.sources(_fs.corpus_root(root), errors):
         info = _load_json(source_dir / SOURCE_INFO)
         info = info if isinstance(info, dict) else {}
-        source = (_text(info.get("name"), source_dir.name), _meta(info, "url", ""), source_dir)
+        source = (_meta(info, "source", source_dir.name), _meta(info, "url", ""), source_dir)
 
         described: set[str] = set()  # real paths: a symlink loop has one, where resolve() raises
         source_records: list[BundleRecord] = []
@@ -192,8 +192,7 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
             data = _load_json(meta_path)
             entries = [e for e in (data if isinstance(data, list) else [data]) if isinstance(e, dict)]
             if not entries:
-                source_records.append(_record(source, bundle_dir, Path(), {},
-                                              str(bundle_dir.relative_to(source_dir)),
+                source_records.append(_record(source, bundle_dir, Path(), None,
                                               f"unreadable {META_INFO}"))
             for entry in entries:
                 rel = _meta(entry, "urdf", "")
@@ -204,21 +203,17 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
                     notices.append(f"described URDF '{rel}' not found on disk")
                 else:  # even when not a regular file or a dangling link: reading it gives the F row
                     described.add(os.path.realpath(bundle_dir / rel))
-                source_records.append(_record(source, bundle_dir, Path(rel), entry, "", *notices))
+                source_records.append(_record(source, bundle_dir, Path(rel), entry, *notices))
 
         for urdf in sorted(map(Path, _fs.walk(source_dir, "*.urdf", errors).paths)):
             if os.path.realpath(urdf) not in described:
-                source_records.append(_record(source, urdf.parent, Path(urdf.name), {},
-                                              str(urdf.relative_to(source_dir)),
+                source_records.append(_record(source, urdf.parent, Path(urdf.name), None,
                                               f"no {META_INFO} describes this file"))
 
-        dup_ids = {i for i, n in Counter(r.id for r in source_records if r.id).items() if n > 1}
-        if dup_ids:
-            source_records = [
-                replace(r, notices=r.notices + (f"id '{r.id}' is not unique within source",))
-                if r.id in dup_ids else r
-                for r in source_records
-            ]
+        count = Counter(r.id for r in source_records if r.id)  # a unique id names its record
+        source_records = [
+            replace(r, notices=(*r.notices, f"id '{r.id}' is not unique within source"))
+            if count[r.id] > 1 else replace(r, name=r.id or r.name) for r in source_records]
         source_records.sort(key=lambda r: (r.id, str(r.urdf_path)))
         records.extend(source_records)
     return records
@@ -245,11 +240,11 @@ def classify_structure(bundle_dir: Path | str,
     Other.  A directory whose name suggests one class but whose URDF
     location matches a more specific one takes the more specific class.
     The layout is looked up in ``listing``, a ``_fs.walk`` that holds the
-    bundle directory, or in a walk of the directory itself, which names
-    what it skips on stderr.  A linked layout folder is not entered.
+    bundle directory, or without one in a walk of the directory itself,
+    which names what it skips on stderr.  A linked layout folder is not entered.
     """
     bundle_dir = Path(bundle_dir)
-    name, listing = bundle_dir.name, listing or _fs.walk(bundle_dir)
+    name, listing = bundle_dir.name, _fs.walk(bundle_dir) if listing is None else listing
     classes = ((StructureClass.D, name.endswith("visualization"), "urdf"),
                (StructureClass.C, name.endswith("_description"), "robots"),
                (StructureClass.B, _SUPPORT_NAME.fullmatch(name), "urdf"),

@@ -12,12 +12,12 @@ Each corpus command is an ordered list of tables (``_COMMANDS``), and each
 table declares what it reads (``_TABLES``): the bundle facts, every bundle,
 the robot groups, the root listing or the duplicate groups.  A command
 loads only the union of what its tables read, except that dupes loads
-every bundle.  A loaded URDF is parsed once, and its bundle keeps its
-diagnostics and, when read, its facts: xacro banner, contact markers, mesh
-inventory, name-term counts and link and joint counts.  Each multiply
+every bundle, and a table that does not declare the listing sees an empty
+one.  A loaded URDF is parsed once; its bundle keeps its diagnostics and,
+when read, its facts.  A bundle's ``parsing_errors`` rows name it by its
+source and the name ``bundles.scan_corpus`` gives it there.  Each multiply
 defined robot is compared as soon as its members load, so no parsed model
-outlives its group.  Every file is read, and every directory listed, by
-the rules of ``_fs``: each source is walked twice for its bundles, and the
+outlives its group.  Each source is walked twice for its bundles, and the
 root once more when a table reads the listing or the duplicate groups.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage error,
@@ -126,9 +126,8 @@ class _Entry:
 
     @property
     def rel_file(self) -> str:
-        """The source name, then the record's id or, without one, the URDF's path in its source."""
-        record = self.record
-        return f"{record.source_name}/{record.id or (record.source_path / record.urdf_path).as_posix()}"
+        """The bundle's file cell: its source's name, then its record's name in that source."""
+        return f"{self.record.source_name}/{self.record.name}"
 
 
 @dataclass
@@ -137,7 +136,7 @@ class _Corpus:
     entries: list[_Entry]
     discrepancies: list[tuple[str, str, str, compare.DiscrepancyReport]]  # sorted rows, if compared
     skipped: list[OSError]  # directories a walk did not enter, repeats included
-    listing: _fs.Listing | None  # the root's, if a table reads it or the duplicate groups
+    listing: _fs.Listing  # the root's if a table reads it or the duplicate groups, else empty
     duplicates: list[dedup.DuplicateGroup]  # found in the listing, if a table reads them
 
 
@@ -195,7 +194,8 @@ def _load_corpus(args: argparse.Namespace) -> _Corpus:
     entries = [members.pop(id(r), None) or _load_entry(r, facts)[0]
                for r in records] if BUNDLES in reads else []
     root = _fs.corpus_root(args.root)
-    listing = _fs.walk(root, "*", skipped) if reads & {LISTING, DUPLICATES} else None
+    listing = (_fs.walk(root, "*", skipped) if reads & {LISTING, DUPLICATES}
+               else _fs.Listing([], set()))
     duplicates = _find_duplicates(listing) if DUPLICATES in reads else []
     return _Corpus(root, entries, rows, skipped, listing, duplicates)
 

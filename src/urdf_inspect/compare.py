@@ -33,6 +33,11 @@ def robot_key(record: BundleRecord) -> RobotKey:
     return (_norm(record.manufacturer), _norm(record.robot_name))
 
 
+def _member_order(record: BundleRecord) -> tuple[str, str, str]:
+    """The order of a robot's members: by source, id, then URDF path."""
+    return record.source_name, record.id, str(record.urdf_path)
+
+
 def find_multiply_defined(records: list[BundleRecord]) -> dict[RobotKey, list[BundleRecord]]:
     """Robots whose bundles come from at least two distinct sources.
 
@@ -45,7 +50,7 @@ def find_multiply_defined(records: list[BundleRecord]) -> dict[RobotKey, list[Bu
             continue
         groups.setdefault(robot_key(record), []).append(record)
     multiply = {
-        key: sorted(members, key=lambda r: (r.source_name, r.id, str(r.urdf_path)))
+        key: sorted(members, key=_member_order)
         for key, members in groups.items()
         if len({r.source_name for r in members}) >= 2
     }
@@ -99,7 +104,7 @@ def compare_group(bundles: list[tuple[BundleRecord, RobotModel | None, str | Non
     over the members whose kinematic tree was built; any member without
     a tree makes the FK verdict incomparable unless a pair differs.
     """
-    bundles = sorted(bundles, key=lambda b: (b[0].source_name, b[0].id, str(b[0].urdf_path)))
+    bundles = sorted(bundles, key=lambda b: _member_order(b[0]))
     sources = tuple(sorted({record.source_name for record, _, _ in bundles}))
     lines = [(r.source_name, line_count(text)) for r, _, text in bundles if text is not None]
     parsed = [(r.source_name, model) for r, model, _ in bundles if model is not None]

@@ -265,21 +265,37 @@ class TestScanCommand:
                          "cannot read file: Permission denied"]]
         assert {p.stem for p in out.glob("*.csv")} == EXPECTED_TABLES
 
-    def test_records_without_an_id_name_their_urdf_below_the_source(self, tmp_path):
-        # two id-less bundles whose URDFs have one path below their bundle directories
+    @staticmethod
+    def _arm_and_leg(tmp_path: Path, **meta) -> tuple[Path, list[list[str]]]:
+        """Scan two bundles of src1 whose URDFs have one path below their bundle
+        directories and give one D row each, with ``meta`` in both metas; the corpus
+        root and the first three cells of its parsing_errors rows."""
         root = tmp_path / "corpus"
         source = write_source(root, "src1")
         for name in ("arm_description", "leg_description"):
             (source / name / "urdf").mkdir(parents=True)
             (source / name / "urdf" / "robot.urdf").write_text('<robot><link name="a"/></robot>')
             (source / name / "meta-information.json").write_text(
-                json.dumps({"name": name, "urdf-location": "urdf/robot.urdf"}))
+                json.dumps({"name": name, "urdf-location": "urdf/robot.urdf", **meta}))
         out = tmp_path / "reports"
         assert run_cli(["--out", str(out), "scan", str(root)]) == 0
-        assert [row[:3] for row in read_csv(out / "parsing_errors.csv")[1:]] == [
-            ["src1/arm_description/urdf/robot.urdf", "error", "D"],
-            ["src1/leg_description/urdf/robot.urdf", "error", "D"]]
+        return root, [row[:3] for row in read_csv(out / "parsing_errors.csv")[1:]]
+
+    ARM_AND_LEG_ROWS = [["src1/arm_description/urdf/robot.urdf", "error", "D"],
+                        ["src1/leg_description/urdf/robot.urdf", "error", "D"]]
+
+    def test_records_without_an_id_name_their_urdf_below_the_source(self, tmp_path):
+        root, rows = self._arm_and_leg(tmp_path)
+        assert rows == self.ARM_AND_LEG_ROWS
         assert [r.id for r in bundles.scan_corpus(root)] == ["", ""]  # the ids stay empty
+
+    def test_records_repeating_an_id_name_their_urdf_below_the_source(self, tmp_path):
+        root, rows = self._arm_and_leg(tmp_path, id="x")
+        assert rows == self.ARM_AND_LEG_ROWS  # not src1/x twice
+        records = bundles.scan_corpus(root)
+        assert [(r.id, r.name) for r in records] == [
+            ("x", "arm_description/urdf/robot.urdf"), ("x", "leg_description/urdf/robot.urdf")]
+        assert all("id 'x' is not unique within source" in r.notices for r in records)
 
     def test_directory_named_urdf_is_an_f_row(self, tmp_path):
         source = write_source(tmp_path / "corpus", "alpha")
@@ -757,13 +773,14 @@ def test_only_scan_and_stats_take_bundle_facts(small_corpus, tmp_path, monkeypat
 
 @pytest.fixture
 def every_table_corpus(small_corpus: Path) -> Path:
-    """small_corpus plus a xacro banner, contact markers, a diagnostic and a
-    duplicate mesh, so that each table of scan holds rows that each of its
-    reads but the listing decides."""
+    """small_corpus plus a xacro banner, contact markers, a diagnostic, a
+    license and a duplicate mesh, so that each table of scan holds rows that
+    each of its reads decides."""
     mesh = {"base.stl": b"solid base\nendsolid\n"}
     write_bundle(small_corpus / "alpha", "banner_description",
                  XACRO_BANNER + "<!-- author: jane@corp.com -->\n" + simple_urdf("banner"),
-                 robot_name="banner", meshes=mesh)
+                 robot_name="banner", meshes=mesh,
+                 license_text="Permission is hereby granted, free of charge")
     write_bundle(small_corpus / "beta", "broken_description", "<robot><link>",
                  robot_name="broken", meshes=mesh)
     return small_corpus
@@ -785,9 +802,8 @@ def test_each_table_declares_what_it_reads(every_table_corpus, tmp_path, monkeyp
         return (out / f"{name}.csv").read_bytes()
 
     assert written(reads) == scanned
-    # the corpus tells when a declared read is missing; without the listing,
-    # classify_structure and detect_license walk each bundle themselves
-    for read in reads - {cli.LISTING}:
+    # the corpus tells when a declared read is missing
+    for read in reads:
         assert written(reads - {read}) != scanned, read
 
 
@@ -829,6 +845,7 @@ def test_compare_loads_only_group_members(small_corpus, monkeypatch):
     assert sorted(parsed) == sorted(r.urdf_file.read_bytes() for r in members)
     assert b"<robot><link>" not in parsed
     assert corpus.entries == []
+    assert corpus.listing == _fs.Listing([], set())  # no table of compare reads it
     assert [row[:2] for row in corpus.discrepancies] == [("planar", "Acme"), ("rover", "Bolt")]
 
 

@@ -6,7 +6,9 @@ directory and run in-process.  Where odd entries (named pipes, a
 directory named like a URDF, dangling and linked paths) are mixed in,
 each corpus command runs in a subprocess with a timeout, as it does on
 one fixed corpus that holds every odd entry at once, metadata nested too
-deep or holding a number too long to decode among them.
+deep or holding a number too long to decode among them.  Two sources of
+2-4 invalid bundles whose metadata ids repeat check how ``parsing_errors``
+names a bundle.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import contextlib
 import csv
 import fnmatch
 import io
+import json
 import os
 import subprocess
 import sys
@@ -23,7 +26,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import urdf_inspect
 from urdf_inspect import report
@@ -163,6 +166,36 @@ def test_renaming_a_bundle_within_its_class_changes_only_path_cells(plan, data):
         after = _scan_tables(root, Path(tmp, "after"))
         assert {name: table.replace(renamed.name.encode(), bundle.name.encode())
                 for name, table in after.items()} == before
+
+
+def _write_invalid_bundle(source: Path, dirname: str, meta_id: str) -> None:
+    """A bundle whose URDF gives one D row, with ``meta_id`` as its id, none when empty."""
+    (source / dirname / "urdf").mkdir(parents=True)
+    (source / dirname / "urdf" / "robot.urdf").write_text('<robot><link name="a"/></robot>')
+    meta = {"name": dirname, "urdf-location": "urdf/robot.urdf"}
+    (source / dirname / "meta-information.json").write_text(
+        json.dumps({**meta, "id": meta_id} if meta_id else meta))
+
+
+@properties
+@example([["x", "x"], ["x", "y"]])  # src1's arm_description and leg_description repeat "x"
+@given(st.lists(st.lists(st.sampled_from(("", "x", "y")), min_size=2, max_size=4),
+                min_size=2, max_size=2))
+def test_each_bundle_has_its_own_file_cell(ids):
+    with tempfile.TemporaryDirectory() as tmp:
+        root, expected = Path(tmp, "corpus"), []
+        for s, source_ids in enumerate(ids):
+            source = write_source(root, f"src{s + 1}")
+            for b, meta_id in enumerate(source_ids):
+                dirname = ("arm", "leg", "hand", "head")[b] + "_description"
+                _write_invalid_bundle(source, dirname, meta_id)
+                # named by its id exactly when that is non-empty and unique in its source
+                unique = meta_id and source_ids.count(meta_id) == 1
+                expected.append(f"src{s + 1}/{meta_id if unique else dirname + '/urdf/robot.urdf'}")
+        table = _scan_tables(root, Path(tmp, "out"))["parsing_errors.csv"].decode()
+        cells = [row[0] for row in csv.reader(io.StringIO(table))][1:]
+        assert len(set(cells)) == len(cells)
+        assert sorted(cells) == sorted(expected)
 
 
 # the first name is a string prefix of the others; as paths, "a_description-x/" sorts first
