@@ -1,11 +1,11 @@
 """Dataset ingestion and per-bundle analyses.
 
-A corpus root holds one directory per source; each source describes its
-robots with ``source-information.json`` and per-bundle
-``meta-information.json`` files.  A bundle is the directory holding a
-meta file plus the URDF and mesh files it describes.  Each record is
-named uniquely in its source: by its metadata id when that is unique
-there, else by its URDF's path below the source directory.
+A corpus root holds one directory per source, which names it; its
+``source-information.json`` gives only its URL, and ``meta-information.json``
+files describe its robots.  A bundle is the directory holding a meta file
+plus the URDF and mesh files it describes.  Each record is named uniquely
+in its source: by its metadata id when that is unique there, else by its
+URDF's path below the source directory.
 
 Every file is read, and every directory listed, by the rules of ``_fs``.
 ``scan_corpus`` walks each source twice; one more ``_fs.walk`` of the
@@ -111,9 +111,8 @@ class ContactMarkers:
 # --------------------------------------------------------------------------
 
 # Metadata key synonyms, most canonical first; source-information.json's
-# name is its "source", and its URL is read with the same "url" aliases.
+# URL is read with the same "url" aliases.
 _META_ALIASES = {
-    "source": ("name",),
     "name": ("name", "robot-name", "robot_name"),
     "type": ("type", "robot-type", "robot_type", "category"),
     "manufacturer": ("manufacturer", "vendor"),
@@ -143,11 +142,11 @@ def _load_json(path: Path):
         return None
 
 
-def _record(source: tuple[str, str, Path], bundle_dir: Path, urdf_path: Path,
+def _record(source: tuple[str, Path], bundle_dir: Path, urdf_path: Path,
             entry: dict | None, *notices: str) -> BundleRecord:
-    """The record of one URDF, first named by its path below ``source`` (name, URL,
-    directory); ``entry`` is its meta entry, or None for none, and then the path is its id."""
-    source_name, source_url, source_dir = source
+    """The record of one URDF, first named by its path below ``source`` (URL, directory);
+    ``entry`` is its meta entry, or None for none, and then the path is its id."""
+    source_url, source_dir = source
     name = (bundle_dir.relative_to(source_dir) / urdf_path).as_posix()
     entry = {"id": name} if entry is None else entry
     return BundleRecord(
@@ -155,7 +154,7 @@ def _record(source: tuple[str, str, Path], bundle_dir: Path, urdf_path: Path,
         robot_name=_meta(entry, "name", ""),
         robot_type=_meta(entry, "type", ""),
         manufacturer=_meta(entry, "manufacturer", ""),
-        source_name=source_name,
+        source_name=source_dir.name,
         source_url=_meta(entry, "url", source_url),
         urdf_path=urdf_path,
         xacro_generated_by_dataset=_meta(entry, "xacro", False),
@@ -175,14 +174,18 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
     URL) counts only when it is a non-empty string, and the xacro flag
     only when it is a boolean; anything else reads as a missing key, the
     flag as false.  Sources and files are found by the rules of ``_fs``,
-    so a hidden or linked source gives no record.  Output is ordered by
-    (source, id, urdf path) and stable, and each record is named as above.
+    so a hidden or linked source gives no record; a source is named by its
+    directory.  A URDF location that is absolute or leads out of the source
+    directory gives no URDF path and the notice ``URDF location 'X' is
+    outside the source``; one that leads to the bundle directory itself
+    counts as no location.  Output is ordered by (source, id, urdf path)
+    and stable, and each record is named as above.
     """
     records: list[BundleRecord] = []
     for source_dir in _fs.sources(_fs.corpus_root(root), errors):
         info = _load_json(source_dir / SOURCE_INFO)
         info = info if isinstance(info, dict) else {}
-        source = (_meta(info, "source", source_dir.name), _meta(info, "url", ""), source_dir)
+        source = (_meta(info, "url", ""), source_dir)
 
         described: set[str] = set()  # real paths: a symlink loop has one, where resolve() raises
         source_records: list[BundleRecord] = []
@@ -196,14 +199,17 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
                                               f"unreadable {META_INFO}"))
             for entry in entries:
                 rel = _meta(entry, "urdf", "")
-                notices = []
-                if not rel:
-                    notices.append("metadata gives no URDF location")
+                urdf_path, notices = Path(rel), []
+                in_source = os.path.normpath(os.path.join(bundle_dir.relative_to(source_dir), rel))
+                if os.path.isabs(rel) or in_source.split(os.sep)[0] == os.pardir:
+                    urdf_path, notices = Path(), [f"URDF location '{rel}' is outside the source"]
+                elif os.path.normpath(rel) == os.curdir:  # also when empty
+                    urdf_path, notices = Path(), ["metadata gives no URDF location"]
                 elif not os.path.lexists(bundle_dir / rel):
                     notices.append(f"described URDF '{rel}' not found on disk")
                 else:  # even when not a regular file or a dangling link: reading it gives the F row
                     described.add(os.path.realpath(bundle_dir / rel))
-                source_records.append(_record(source, bundle_dir, Path(rel), entry, *notices))
+                source_records.append(_record(source, bundle_dir, urdf_path, entry, *notices))
 
         for urdf in sorted(map(Path, _fs.walk(source_dir, "*.urdf", errors).paths)):
             if os.path.realpath(urdf) not in described:

@@ -9,16 +9,16 @@ Subcommands:
     stats <root>          model/name/contact/license tables
 
 Each corpus command is an ordered list of tables (``_COMMANDS``), and each
-table declares what it reads (``_TABLES``): the bundle facts, every bundle,
-the robot groups, the root listing or the duplicate groups.  A command
-loads only the union of what its tables read, except that dupes loads
-every bundle, and a table that does not declare the listing sees an empty
-one.  A loaded URDF is parsed once; its bundle keeps its diagnostics and,
-when read, its facts.  A bundle's ``parsing_errors`` rows name it by its
-source and the name ``bundles.scan_corpus`` gives it there.  Each multiply
-defined robot is compared as soon as its members load, so no parsed model
-outlives its group.  Each source is walked twice for its bundles, and the
-root once more when a table reads the listing or the duplicate groups.
+table declares what it reads (``_TABLES``): every bundle, the robot groups,
+the root listing or the duplicate groups.  A command loads only the union
+of what its tables read, except that dupes loads every bundle, and a table
+that does not declare the listing sees an empty one.  Every command loads
+a bundle alike: its URDF is parsed once, and it keeps its diagnostics and
+facts.  Its ``parsing_errors`` rows name it by its source directory and the
+name ``bundles.scan_corpus`` gives it there.  Each multiply defined robot is
+compared as soon as its members load, so no parsed model outlives its group.
+Each source is walked twice for its bundles, and the root once more when a
+table reads the listing or the duplicate groups.
 
 Exit codes: 0 success, 1 validation errors found, 2 usage error,
 3 I/O failure.
@@ -113,14 +113,14 @@ def main() -> None:
 
 @dataclass
 class _Entry:
-    """One bundle, reduced to what the tables read of its URDF.  Every fact
-    but the diagnostics stays at its default when no table reads the facts."""
+    """One bundle, reduced to what the tables read of its URDF.  A fact is at its
+    default only when the URDF was not read or (a model fact) did not validate."""
 
     record: BundleRecord
     diagnostics: list[Diagnostic]
     xacro_banner: bool = False
-    contact: ContactMarkers | None = None  # the text facts: None when the URDF was not read
-    meshes: MeshInventory | None = None  # the model facts: None when no model was validated
+    contact: ContactMarkers | None = None  # the text facts
+    meshes: MeshInventory | None = None  # the model facts
     name_terms: dict[str, int] | None = None
     size: tuple[int, int] | None = None  # (links, joints)
 
@@ -158,19 +158,19 @@ def _analyze(path: Path) -> tuple[bytes | None, RobotModel | None, list[Diagnost
     return raw, result.model, diags
 
 
-def _load_entry(record: BundleRecord, facts: bool) -> tuple[_Entry, RobotModel | None, str | None]:
-    """Analyze one bundle's URDF into its entry, model and text (None when
-    not read); the table facts are taken only when ``facts``."""
+def _load_entry(record: BundleRecord) -> tuple[_Entry, RobotModel | None, str | None]:
+    """Analyze one bundle's URDF into its entry, with every fact, its model and its text
+    (None when not read)."""
     raw, model, diags = None, None, []
     urdf = record.urdf_file
     if record.urdf_path != Path() and os.path.lexists(urdf):  # a dangling link gives an F row
         raw, model, diags = _analyze(urdf)
     entry = _Entry(record, diags)
     text = None if raw is None else raw.decode("utf-8", errors="replace")
-    if facts and text is not None:
+    if text is not None:
         entry.xacro_banner = bundles.detect_xacro_generated(text)
         entry.contact = bundles.contact_markers(text)
-    if facts and model is not None:
+    if model is not None:
         entry.meshes = bundles.mesh_inventory(model)
         entry.name_terms = bundles.name_substring_stats(model, bundles.NAME_TERMS)
         entry.size = (len(model.links), len(model.joints))
@@ -184,14 +184,13 @@ def _load_corpus(args: argparse.Namespace) -> _Corpus:
     reads = set().union(*(_TABLES[name][0] for name in _COMMANDS[args.command][1]))
     if args.command == "dupes":  # no table of it reads a bundle, but the benchmark's
         reads.add(BUNDLES)  # ground truth counts one parse per bundle under every command
-    facts = FACTS in reads
     skipped: list[OSError] = []
     records = bundles.scan_corpus(args.root, skipped)
     members: dict[int, _Entry] = {}  # by id of their record
     groups = compare.find_multiply_defined(records) if GROUPS in reads else {}
-    rows = sorted((_compare(args, group, facts, members) for group in groups.values()),
+    rows = sorted((_compare(args, group, members) for group in groups.values()),
                   key=lambda row: row[:2])  # by robot name, then manufacturer
-    entries = [members.pop(id(r), None) or _load_entry(r, facts)[0]
+    entries = [members.pop(id(r), None) or _load_entry(r)[0]
                for r in records] if BUNDLES in reads else []
     root = _fs.corpus_root(args.root)
     listing = (_fs.walk(root, "*", skipped) if reads & {LISTING, DUPLICATES}
@@ -211,30 +210,30 @@ def _find_duplicates(listing: _fs.Listing) -> list[dedup.DuplicateGroup]:
     return groups
 
 
-def _compare(args: argparse.Namespace, group: list[BundleRecord], facts: bool,
+def _compare(args: argparse.Namespace, group: list[BundleRecord],
              members: dict[int, _Entry]) -> tuple[str, str, str, compare.DiscrepancyReport]:
     """Load and compare one robot's members, adding their entries to
     ``members``; the discrepancies row is all that outlives the call."""
-    loaded = [_load_entry(record, facts) for record in group]
+    loaded = [_load_entry(record) for record in group]
     members.update((id(entry.record), entry) for entry, _, _ in loaded)
     rep = compare.compare_group([(entry.record, model, text) for entry, model, text in loaded],
                                 fk_tol=args.fk_tol)
     return group[0].robot_name, group[0].manufacturer, group[0].robot_type, rep
 
 
-# Each corpus table: what it reads of the corpus (the bundle facts, every bundle, the robot
-# groups, the root listing, the duplicate groups) and its builder.  scan writes them in this order.
-FACTS, BUNDLES, GROUPS, LISTING, DUPLICATES = "facts", "bundles", "groups", "listing", "duplicates"
+# Each corpus table: what it reads of the corpus (every bundle, the robot groups, the root
+# listing, the duplicate groups) and its builder.  scan writes them in this order.
+BUNDLES, GROUPS, LISTING, DUPLICATES = "bundles", "groups", "listing", "duplicates"
 _TABLES: dict[str, tuple[set[str], Callable[[_Corpus], report.ReportTable]]] = {
     "structures": ({BUNDLES, LISTING}, lambda c: report.structures_table(
         [(e.record.source_name, bundles.classify_structure(e.record.root_dir, c.listing))
          for e in c.entries])),
-    "xacro": ({BUNDLES, FACTS}, lambda c: report.xacro_table(
+    "xacro": ({BUNDLES}, lambda c: report.xacro_table(
         [(e.record.source_name, e.record.xacro_generated_by_dataset, e.xacro_banner)
          for e in c.entries])),
     "parsing_errors": ({BUNDLES}, lambda c: report.parsing_errors_table(
         [(e.rel_file, d) for e in c.entries for d in e.diagnostics])),
-    "mesh_types": ({BUNDLES, FACTS}, lambda c: report.mesh_types_table(
+    "mesh_types": ({BUNDLES}, lambda c: report.mesh_types_table(
         [(e.record.source_name, e.meshes) for e in c.entries if e.meshes is not None])),
     "duplicates": ({DUPLICATES}, lambda c: report.duplicates_table(c.root, c.duplicates)),
     "duplicates_cross_source": ({DUPLICATES}, lambda c: report.duplicates_cross_source_table(
@@ -243,11 +242,11 @@ _TABLES: dict[str, tuple[set[str], Callable[[_Corpus], report.ReportTable]]] = {
     "licenses": ({BUNDLES, LISTING}, lambda c: report.licenses_table(
         [(e.record.source_name, bundles.detect_license(e.record.root_dir, c.listing))
          for e in c.entries])),
-    "contact": ({BUNDLES, FACTS}, lambda c: report.contact_table(
+    "contact": ({BUNDLES}, lambda c: report.contact_table(
         [e.contact for e in c.entries if e.contact is not None])),
-    "name_stats": ({BUNDLES, FACTS}, lambda c: report.name_stats_table(
+    "name_stats": ({BUNDLES}, lambda c: report.name_stats_table(
         [(e.record.source_name, e.name_terms) for e in c.entries if e.name_terms is not None])),
-    "model_stats": ({BUNDLES, FACTS}, lambda c: report.model_stats_table(bundles.model_stats(
+    "model_stats": ({BUNDLES}, lambda c: report.model_stats_table(bundles.model_stats(
         [(e.record.robot_type, *e.size) for e in c.entries if e.size is not None]))),
 }
 

@@ -61,6 +61,26 @@ class TestScanCorpus:
         assert records[0].robot_name == ""
         assert records[0].notices
 
+    @pytest.mark.parametrize("location, notice", [
+        ("{tmp}/outside/robot.urdf", "URDF location '{location}' is outside the source"),
+        ("../../../outside/robot.urdf", "URDF location '{location}' is outside the source"),
+        ("../../s2/b/urdf/robot.urdf", "URDF location '{location}' is outside the source"),
+        (".", "metadata gives no URDF location"),
+        ("urdf/..", "metadata gives no URDF location"),  # the bundle directory itself
+    ], ids=["absolute", "out-of-root", "other-source", "dot", "bundle-dir"])
+    def test_urdf_location_leads_into_the_source(self, tmp_path, location, notice):
+        location = location.format(tmp=tmp_path)
+        (tmp_path / "outside").mkdir()
+        (tmp_path / "outside" / "robot.urdf").write_text(simple_urdf())
+        root = tmp_path / "corpus"
+        write_bundle(write_source(root, "s2"), "b", simple_urdf())
+        bundle = write_source(root, "s1") / "b"
+        (bundle / "urdf").mkdir(parents=True)
+        (bundle / "meta-information.json").write_text(
+            json.dumps({"name": "r", "urdf-location": location}))
+        assert [(r.urdf_path, r.notices) for r in scan_corpus(root) if r.source_name == "s1"] == [
+            (Path(), (notice.format(location=location),))]
+
     @pytest.mark.parametrize("kind", ["fifo", "directory"])
     def test_described_path_that_is_not_a_file_is_one_record(self, small_corpus, kind):
         path = small_corpus / "alpha" / "planar_description" / "urdf" / "planar.urdf"

@@ -477,7 +477,7 @@ class TestScanCommand:
         assert run_cli(["--out", str(out), command, str(root)]) == 0
         assert capsys.readouterr().err.splitlines() == [
             f"warning: cannot list {root / 's2'}: linked directory, not followed"]
-        if command == "scan":  # the link's source-information.json also names it s1
+        if command == "scan":  # the link is no source, so it gives no s2 row
             assert read_csv(out / "structures.csv")[1:] == [["s1", "1", "0", "0", "0", "0"],
                                                             ["total", "1", "0", "0", "0", "0"]]
 
@@ -745,13 +745,11 @@ def test_no_model_outlives_its_group(small_corpus, monkeypatch):
     assert all(e.size is not None and e.contact is not None for e in corpus.entries)
 
 
-@pytest.mark.parametrize("command,takes_facts", [
-    ("scan", True), ("stats", True), ("compare", False), ("dupes", False)])
-def test_only_scan_and_stats_take_bundle_facts(small_corpus, tmp_path, monkeypatch,
-                                               command, takes_facts):
-    facts = []
-    for name in ("detect_xacro_generated", "contact_markers", "mesh_inventory",
-                 "name_substring_stats"):
+@pytest.mark.parametrize("command", ["scan", "stats", "compare", "dupes"])
+def test_every_loaded_bundle_gives_its_facts(small_corpus, tmp_path, monkeypatch, command):
+    facts, functions = [], ("detect_xacro_generated", "contact_markers", "mesh_inventory",
+                            "name_substring_stats")
+    for name in functions:
         fn = getattr(bundles, name)
         monkeypatch.setattr(bundles, name, lambda *a, fn=fn, name=name: facts.append(name) or fn(*a))
     compared = []
@@ -765,7 +763,8 @@ def test_only_scan_and_stats_take_bundle_facts(small_corpus, tmp_path, monkeypat
     assert run_cli(["--out", str(tmp_path / "out"), command, str(small_corpus)]) == 0
     # compare parses only the two members of its one group, the others every bundle
     assert len(parsed) == (2 if command == "compare" else 4)
-    assert bool(facts) is takes_facts
+    # and every URDF parsed, each of which validates, gives each fact once
+    assert sorted(facts) == sorted(functions * len(parsed))
     # and only scan and compare group the robots and compare them
     compares = {"scan": True, "stats": False, "compare": True, "dupes": False}[command]
     assert compared == (["find_multiply_defined", "compare_group"] if compares else [])
@@ -836,7 +835,7 @@ def test_compare_loads_only_group_members(small_corpus, monkeypatch):
     loaded, analyzed, parsed = [], [], []
     load_entry, analyze, validate = cli._load_entry, cli._analyze, cli.validate
     monkeypatch.setattr(cli, "_load_entry",
-                        lambda record, facts: loaded.append(record) or load_entry(record, facts))
+                        lambda record: loaded.append(record) or load_entry(record))
     monkeypatch.setattr(cli, "_analyze", lambda path: analyzed.append(path) or analyze(path))
     monkeypatch.setattr(cli, "validate", lambda raw: parsed.append(raw) or validate(raw))
     corpus = cli._load_corpus(cli._build_parser().parse_args(["compare", str(small_corpus)]))
@@ -847,6 +846,26 @@ def test_compare_loads_only_group_members(small_corpus, monkeypatch):
     assert corpus.entries == []
     assert corpus.listing == _fs.Listing([], set())  # no table of compare reads it
     assert [row[:2] for row in corpus.discrepancies] == [("planar", "Acme"), ("rover", "Bolt")]
+
+
+def test_no_urdf_location_outside_the_root_is_read(tmp_path, monkeypatch):
+    outside = tmp_path / "outside" / "robot.urdf"
+    outside.parent.mkdir()
+    outside.write_text(simple_urdf("outside"))
+    root = tmp_path / "corpus"
+    s1 = write_source(root, "s1")
+    for i, location in enumerate([str(outside), "../../../outside/robot.urdf"]):
+        (s1 / f"b{i}").mkdir()
+        (s1 / f"b{i}" / "meta-information.json").write_text(
+            json.dumps({"name": "r", "id": f"b{i}", "urdf-location": location}))
+    read = []
+    real_read = _fs.read
+    monkeypatch.setattr(_fs, "read", lambda path, *args: read.append(os.path.realpath(path))
+                        or real_read(path, *args))
+    assert run_cli(["--out", str(tmp_path / "out"), "scan", str(root)]) == 0
+    assert read and all(path.startswith(os.path.realpath(root) + os.sep) for path in read)
+    assert read_csv(tmp_path / "out" / "parsing_errors.csv") == [
+        ["file", "severity", "code", "subject", "line", "message"]]
 
 
 @pytest.mark.parametrize("non_members", [False, True])

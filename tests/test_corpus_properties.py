@@ -8,7 +8,8 @@ each corpus command runs in a subprocess with a timeout, as it does on
 one fixed corpus that holds every odd entry at once, metadata nested too
 deep or holding a number too long to decode among them.  Two sources of
 2-4 invalid bundles whose metadata ids repeat check how ``parsing_errors``
-names a bundle.
+names a bundle, and the names that ``source-information.json`` files give
+check that every table names a source by its directory.
 """
 
 from __future__ import annotations
@@ -141,6 +142,62 @@ def test_compare_writes_scans_discrepancies(plan):
         compared = _scan_tables(root, Path(tmp, "compare"), "compare")
         assert compared == {"discrepancies.csv": scan["discrepancies.csv"]}
         assert b"\narm," in compared["discrepancies.csv"]
+
+
+NO_FILE = object()  # a source without source-information.json
+ARM = {"robot": "arm", "joint": "revolute", "layout": "urdf", "suffix": "_description",
+       "mesh": None, "license": False, "orphan": False}
+
+
+@st.composite
+def named_corpora(draw):
+    """A corpus plan and the name each source's source-information.json gives:
+    its own directory's, another source's, a fresh one, null, or no file at all."""
+    plan = draw(corpora)
+    dirs = [f"s{s}" for s in range(len(plan))]
+    fresh = st.text(max_size=6).filter(lambda name: name not in (*dirs, "total"))
+    name = st.sampled_from(dirs) | fresh | st.none() | st.just(NO_FILE)
+    return plan, draw(st.lists(name, min_size=len(plan), max_size=len(plan)))
+
+
+def _source_cells(tables: dict[str, bytes]) -> set[str]:
+    """Every source a table names: a ``source`` cell but a per-source table's
+    total row, a ``discrepancies`` source, a ``parsing_errors`` file's first part."""
+    cells = set()
+    for data in tables.values():
+        for row in csv.DictReader(io.StringIO(data.decode())):
+            if "source" in row and row["source"] != "total":
+                cells.add(row["source"])
+            if "sources" in row:
+                cells.update(row["sources"].split(";"))
+            if "file" in row:
+                cells.add(row["file"].split("/")[0])
+    return cells
+
+
+@properties
+@example(([[ARM], [ARM]], ["Alpha", "Beta"]))  # each table named s0/s1 by its directory
+@example(([[ARM], [ARM]], ["Mirror", "Mirror"]))  # two sources, so arm is compared
+@given(named_corpora())
+def test_a_source_is_named_by_its_directory(named):
+    plan, names = named
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp, "corpus")
+        _build(root, plan)
+        for s, name in enumerate(names):
+            info = root / f"s{s}" / "source-information.json"
+            if name is NO_FILE:
+                info.unlink()
+            else:
+                info.write_text(json.dumps({"name": name, "url": f"https://example.org/s{s}"}))
+        written = {command: _scan_tables(root, Path(tmp, command), command)
+                   for command in ("scan", "compare", "dupes", "stats")}
+        for info in root.glob("*/source-information.json"):
+            info.unlink()
+        for command, tables in written.items():
+            assert _source_cells(tables) <= {f"s{s}" for s in range(len(plan))}, command
+            assert _scan_tables(root, Path(tmp, f"{command}_unnamed"), command) == tables, command
+        assert b"\narm," in written["compare"]["discrepancies.csv"]
 
 
 def _bundle_dirs(source: Path) -> list[Path]:
