@@ -118,7 +118,7 @@ class _Entry:
 
     record: BundleRecord
     diagnostics: list[Diagnostic]
-    xacro_banner: bool = False
+    xacro_banner: bool | None = None
     contact: ContactMarkers | None = None  # the text facts
     meshes: MeshInventory | None = None  # the model facts
     name_terms: dict[str, int] | None = None
@@ -230,7 +230,7 @@ _TABLES: dict[str, tuple[set[str], Callable[[_Corpus], report.ReportTable]]] = {
          for e in c.entries])),
     "xacro": ({BUNDLES}, lambda c: report.xacro_table(
         [(e.record.source_name, e.record.xacro_generated_by_dataset, e.xacro_banner)
-         for e in c.entries])),
+         for e in c.entries if e.xacro_banner is not None])),
     "parsing_errors": ({BUNDLES}, lambda c: report.parsing_errors_table(
         [(e.rel_file, d) for e in c.entries for d in e.diagnostics])),
     "mesh_types": ({BUNDLES}, lambda c: report.mesh_types_table(

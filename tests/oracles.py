@@ -320,7 +320,8 @@ def oracle_bundle_tables(root: Path) -> list:
     Each URDF is read and validated afresh, and every row comes from the
     public per-file functions; nothing is reduced or kept between tables.
     A URDF that cannot be read (missing, unreadable, a directory) gives
-    no text; one that fails validation gives no model.
+    no text, so it counts in no xacro column; one that fails validation
+    gives no model.
     """
     from urdf_inspect import bundles, report
     from urdf_inspect.validator import validate
@@ -334,9 +335,9 @@ def oracle_bundle_tables(root: Path) -> list:
         text = None if raw is None else raw.decode("utf-8", errors="replace")
         model = None if raw is None else validate(raw).model
         source = record.source_name
-        banner = text is not None and bundles.detect_xacro_generated(text)
-        xacro.append((source, record.xacro_generated_by_dataset, banner))
         if text is not None:
+            xacro.append((source, record.xacro_generated_by_dataset,
+                          bundles.detect_xacro_generated(text)))
             contact.append(bundles.contact_markers(text))
         if model is not None:
             meshes.append((source, bundles.mesh_inventory(model)))

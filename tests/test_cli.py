@@ -315,8 +315,9 @@ class TestScanCommand:
         path.mkdir()
         out = tmp_path / "reports"
         assert run_cli(["--out", str(out), "scan", str(small_corpus)]) == 0
-        for table in ("structures", "xacro", "licenses"):  # one row per bundle, no orphan
-            assert sum(map(int, read_csv(out / f"{table}.csv")[-1][1:])) == 4
+        # one row per bundle, no orphan; the unread URDF counts in no xacro column
+        for table, total in (("structures", 4), ("xacro", 3), ("licenses", 4)):
+            assert sum(map(int, read_csv(out / f"{table}.csv")[-1][1:])) == total
         assert read_csv(out / "parsing_errors.csv")[1:] == [
             ["alpha/planar_description", "error", "F", "document", "0",
              "cannot read file: Is a directory"]]
@@ -866,6 +867,17 @@ def test_no_urdf_location_outside_the_root_is_read(tmp_path, monkeypatch):
     assert read and all(path.startswith(os.path.realpath(root) + os.sep) for path in read)
     assert read_csv(tmp_path / "out" / "parsing_errors.csv") == [
         ["file", "severity", "code", "subject", "line", "message"]]
+
+
+def test_an_unread_urdf_counts_in_no_xacro_column(tmp_path):
+    root = tmp_path / "corpus"
+    s1 = write_source(root, "s1")
+    for name in ("a", "b"):
+        write_bundle(s1, name, simple_urdf(name), robot_name=name)
+    (s1 / "b" / "urdf" / "b.urdf").unlink()
+    assert run_cli(["--out", str(tmp_path / "out"), "scan", str(root)]) == 0
+    assert read_csv(tmp_path / "out" / "xacro.csv")[1:] == [["s1", "0", "0", "1"],
+                                                             ["total", "0", "0", "1"]]
 
 
 @pytest.mark.parametrize("non_members", [False, True])
