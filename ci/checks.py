@@ -164,6 +164,22 @@ def parser_differential():
 
 def fk_differential():
     from oracles import oracle_fk_deviation
+
+    def agrees(ta, tb):  # fk_equivalent against the oracle at the configurations it sampled
+        result = kinematics.fk_equivalent(ta, tb)
+        worst = oracle_fk_deviation(ta, tb, result.samples)
+        got = (result.worst_deviation, result.worst_rotation)
+        return len(result.samples) == 16 and result.equal == all(w <= 1e-6 for w in worst) \
+            and all(abs(g - w) <= 1e-9 or math.isnan(g) and math.isnan(w)
+                    for g, w in zip(got, worst))
+
+    def turned(urdf, tree):  # its first actuated joint's origin turned 0.1 rad in roll
+        joint = tree.actuated[0]
+        roll, pitch, yaw = joint.origin.rpy
+        turn = joint._replace(origin=joint.origin._replace(rpy=(roll + 0.1, pitch, yaw)))
+        return kinematics.build_tree(
+            urdf._replace(joints=tuple(turn if j is joint else j for j in urdf.joints)))
+
     pairs, differ = 0, []
     for workload, seed in CORPORA[:4]:
         for group in compare.find_multiply_defined(
@@ -172,19 +188,19 @@ def fk_differential():
             for record in group:
                 with contextlib.suppress(OSError, model.ParseFailure, kinematics.TreeError):
                     urdf = model.parse_urdf(record.urdf_file.read_bytes())
-                    trees.append((record.source_name, urdf.name, kinematics.build_tree(urdf)))
-            for (a, robot, ta), (b, _, tb) in combinations(trees, 2):
+                    trees.append((record.source_name, urdf, kinematics.build_tree(urdf)))
+            for (a, urdf, ta), (b, _, tb) in combinations(trees, 2):
                 if a == b:
                     continue
                 with contextlib.suppress(kinematics.Incomparable, kinematics.UnsupportedJoint):
-                    result = kinematics.fk_equivalent(ta, tb)
+                    same = agrees(ta, tb)
                     pairs += 1
-                    worst = oracle_fk_deviation(ta, tb, result.samples)
-                    got = (result.worst_deviation, result.worst_rotation)
-                    if len(result.samples) != 16 or result.equal != all(w <= 1e-6 for w in worst) \
-                            or not all(abs(g - w) <= 1e-9 or math.isnan(g) and math.isnan(w)
-                                       for g, w in zip(got, worst)):
-                        differ.append(f"compared differently: {workload}_{seed} {robot} {a}/{b}")
+                    if not same:
+                        differ.append(f"compared differently: {workload}_{seed} {urdf.name} {a}/{b}")
+                    # every pair of the corpora deviates by a constant; a turned copy deviates
+                    # from its tree by an amount that varies with the joint values
+                    if ta.actuated and not agrees(ta, turned(urdf, ta)):
+                        differ.append(f"compared differently: {workload}_{seed} {urdf.name} {a}/turned")
     return differ + ([] if pairs else ["no pair"]), f"{pairs} pairs compared, {len(differ)} differ"
 
 

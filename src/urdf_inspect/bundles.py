@@ -18,10 +18,9 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _fs
 from .model import Mesh, RobotModel
@@ -46,8 +45,7 @@ MESH_EXTENSIONS = ("stl", "dae", "obj")
 SOURCE_INFO, META_INFO = "source-information.json", "meta-information.json"  # the metadata files
 
 
-@dataclass(frozen=True)
-class BundleRecord:
+class BundleRecord(NamedTuple):
     """One URDF bundle on disk plus its dataset metadata."""
 
     id: str
@@ -75,8 +73,7 @@ class StructureClass(Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class MeshInventory:
+class MeshInventory(NamedTuple):
     """Mesh reference counts per usage, keyed by extension class."""
 
     visual: dict[str, int]
@@ -99,8 +96,7 @@ class LicenseId(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class ContactMarkers:
+class ContactMarkers(NamedTuple):
     author: bool
     at_sign: bool
     dot_com: bool
@@ -164,6 +160,20 @@ def _record(source: tuple[str, Path], bundle_dir: Path, urdf_path: Path,
     )
 
 
+def _passed(bundle_dir: Path, rel: str) -> list[str]:
+    """The directories that the location ``rel`` in ``bundle_dir`` passes
+    through, in order.  A ``..`` is taken lexically, which is where the
+    system takes it as long as no directory before it is a link."""
+    passed, at = [], str(bundle_dir)
+    for part in Path(rel).parts[:-1]:
+        if part == os.pardir:
+            at = os.path.dirname(at)
+        else:
+            at = os.path.join(at, part)
+            passed.append(at)
+    return passed
+
+
 def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[BundleRecord]:
     """Walk a corpus tree and return one record per described URDF.
 
@@ -178,8 +188,11 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
     directory.  A URDF location that is absolute or leads out of the source
     directory gives no URDF path and the notice ``URDF location 'X' is
     outside the source``; one that leads to the bundle directory itself
-    counts as no location.  Output is ordered by (source, id, urdf path)
-    and stable, and each record is named as above.
+    counts as no location; one that passes through a directory that
+    ``_fs.enters`` does not enter gives no URDF path and the notice ``URDF
+    location 'X' passes through a hidden or linked directory``.  Output is
+    ordered by (source, id, urdf path) and stable, and each record is named
+    as above.
     """
     records: list[BundleRecord] = []
     for source_dir in _fs.sources(_fs.corpus_root(root), errors):
@@ -205,6 +218,9 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
                     urdf_path, notices = Path(), [f"URDF location '{rel}' is outside the source"]
                 elif os.path.normpath(rel) == os.curdir:  # also when empty
                     urdf_path, notices = Path(), ["metadata gives no URDF location"]
+                elif not all(map(_fs.enters, _passed(bundle_dir, rel))):
+                    urdf_path, notices = Path(), [
+                        f"URDF location '{rel}' passes through a hidden or linked directory"]
                 elif not os.path.lexists(bundle_dir / rel):
                     notices.append(f"described URDF '{rel}' not found on disk")
                 else:  # even when not a regular file or a dangling link: reading it gives the F row
@@ -218,8 +234,8 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
 
         count = Counter(r.id for r in source_records if r.id)  # a unique id names its record
         source_records = [
-            replace(r, notices=(*r.notices, f"id '{r.id}' is not unique within source"))
-            if count[r.id] > 1 else replace(r, name=r.id or r.name) for r in source_records]
+            r._replace(notices=(*r.notices, f"id '{r.id}' is not unique within source"))
+            if count[r.id] > 1 else r._replace(name=r.id or r.name) for r in source_records]
         source_records.sort(key=lambda r: (r.id, str(r.urdf_path)))
         records.extend(source_records)
     return records

@@ -30,9 +30,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import _fs, bundles, compare, dedup, report
 from .bundles import BundleRecord, ContactMarkers, MeshInventory
@@ -111,18 +110,17 @@ def main() -> None:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _Entry:
-    """One bundle, reduced to what the tables read of its URDF.  A fact is at its
-    default only when the URDF was not read or (a model fact) did not validate."""
+class _Entry(NamedTuple):
+    """One bundle, reduced to what the tables read of its URDF.  A fact is None
+    only when the URDF was not read or (a model fact) did not validate."""
 
     record: BundleRecord
     diagnostics: list[Diagnostic]
-    xacro_banner: bool | None = None
-    contact: ContactMarkers | None = None  # the text facts
-    meshes: MeshInventory | None = None  # the model facts
-    name_terms: dict[str, int] | None = None
-    size: tuple[int, int] | None = None  # (links, joints)
+    xacro_banner: bool | None  # the text facts
+    contact: ContactMarkers | None
+    meshes: MeshInventory | None  # the model facts
+    name_terms: dict[str, int] | None
+    size: tuple[int, int] | None  # (links, joints)
 
     @property
     def rel_file(self) -> str:
@@ -130,8 +128,7 @@ class _Entry:
         return f"{self.record.source_name}/{self.record.name}"
 
 
-@dataclass
-class _Corpus:
+class _Corpus(NamedTuple):
     root: Path
     entries: list[_Entry]
     discrepancies: list[tuple[str, str, str, compare.DiscrepancyReport]]  # sorted rows, if compared
@@ -165,16 +162,15 @@ def _load_entry(record: BundleRecord) -> tuple[_Entry, RobotModel | None, str | 
     urdf = record.urdf_file
     if record.urdf_path != Path() and os.path.lexists(urdf):  # a dangling link gives an F row
         raw, model, diags = _analyze(urdf)
-    entry = _Entry(record, diags)
-    text = None if raw is None else raw.decode("utf-8", errors="replace")
-    if text is not None:
-        entry.xacro_banner = bundles.detect_xacro_generated(text)
-        entry.contact = bundles.contact_markers(text)
+    text = banner = contact = meshes = name_terms = size = None
+    if raw is not None:
+        text = raw.decode("utf-8", errors="replace")
+        banner, contact = bundles.detect_xacro_generated(text), bundles.contact_markers(text)
     if model is not None:
-        entry.meshes = bundles.mesh_inventory(model)
-        entry.name_terms = bundles.name_substring_stats(model, bundles.NAME_TERMS)
-        entry.size = (len(model.links), len(model.joints))
-    return entry, model, text
+        meshes = bundles.mesh_inventory(model)
+        name_terms = bundles.name_substring_stats(model, bundles.NAME_TERMS)
+        size = (len(model.links), len(model.joints))
+    return _Entry(record, diags, banner, contact, meshes, name_terms, size), model, text
 
 
 def _load_corpus(args: argparse.Namespace) -> _Corpus:

@@ -13,7 +13,7 @@ over the cross-source pairs of members whose kinematic tree was built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bundles import BundleRecord, mesh_inventory
 from .kinematics import Incomparable, TreeError, UnsupportedJoint, build_tree, fk_equivalent
@@ -57,8 +57,7 @@ def find_multiply_defined(records: list[BundleRecord]) -> dict[RobotKey, list[Bu
     return dict(sorted(multiply.items()))
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     """Feature differences across one multiply defined robot.
 
     diff_fk is None when at least one cross-source pair could not be

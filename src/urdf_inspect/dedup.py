@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import zlib
-from dataclasses import dataclass
 from itertools import chain, count
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import _fs
 
@@ -46,8 +45,7 @@ _CHUNK = 1 << 20
 _BLANKS = b" \t"
 
 
-@dataclass(frozen=True)
-class DuplicateGroup:
+class DuplicateGroup(NamedTuple):
     """Files whose normalized contents are byte-identical."""
 
     members: tuple[Path, ...]

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .model import Joint, JointKind, RobotModel
 
@@ -72,16 +71,14 @@ class Incomparable(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Transform:
+class Transform(NamedTuple):
     """Rigid-body transform: orthonormal rotation plus translation."""
 
     rotation: np.ndarray  # (3, 3)
     translation: np.ndarray  # (3,)
 
 
-@dataclass(frozen=True)
-class KinematicTree:
+class KinematicTree(NamedTuple):
     """``joints``: every joint in depth-first preorder from the root, siblings
     by joint name (ties in document order); ``actuated``: its moving joints,
     in that order, which configurations follow.  Neither depends on the
@@ -97,8 +94,7 @@ class KinematicTree:
         return [j.child for j in self.joints if not self.children.get(j.child)] or [self.root]
 
 
-@dataclass(frozen=True)
-class JointConfig:
+class JointConfig(NamedTuple):
     """Scalar values aligned with KinematicTree.actuated (rad or m)."""
 
     values: tuple[float, ...]
@@ -107,8 +103,7 @@ class JointConfig:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class _JointGraph:
+class _JointGraph(NamedTuple):
     """What is wrong with a joint graph, for build_tree and kinematic_sanity.
 
     Edges run from a declared parent link; a joint naming an undeclared
@@ -300,8 +295,7 @@ def forward_kinematics(tree: KinematicTree, model: RobotModel,
             for name, (rot, trans) in frames.items()}
 
 
-@dataclass(frozen=True)
-class FkComparison:
+class FkComparison(NamedTuple):
     equal: bool
     worst_deviation: float  # meters, over all samples and leaves
     worst_rotation: float  # radians

@@ -15,8 +15,8 @@ while expat reads on: malformed XML anywhere in the document wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 from xml.parsers import expat
 
 __all__ = [
@@ -63,32 +63,27 @@ class ParseFailure(Exception):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
     """Rigid-body offset: xyz in meters, rpy in radians (roll, pitch, yaw)."""
 
     xyz: Vec3 = ZERO3
     rpy: Vec3 = ZERO3
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     size: Vec3
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     radius: float
     length: float
 
 
-@dataclass(frozen=True)
-class Sphere:
+class Sphere(NamedTuple):
     radius: float
 
 
-@dataclass(frozen=True)
-class Mesh:
+class Mesh(NamedTuple):
     uri: str
     scale: Vec3 = (1.0, 1.0, 1.0)
 
@@ -96,8 +91,7 @@ class Mesh:
 Geometry = Box | Cylinder | Sphere | Mesh
 
 
-@dataclass(frozen=True)
-class Inertial:
+class Inertial(NamedTuple):
     """Mass properties: inertia holds (ixx, ixy, ixz, iyy, iyz, izz)."""
 
     origin: Pose
@@ -105,8 +99,7 @@ class Inertial:
     inertia: tuple[float, float, float, float, float, float]
 
 
-@dataclass(frozen=True)
-class Visual:
+class Visual(NamedTuple):
     origin: Pose
     geometry: Geometry
     material_name: str | None = None
@@ -114,14 +107,12 @@ class Visual:
     column: int = 0
 
 
-@dataclass(frozen=True)
-class Collision:
+class Collision(NamedTuple):
     origin: Pose
     geometry: Geometry
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     name: str
     inertial: Inertial | None = None
     visuals: tuple[Visual, ...] = ()
@@ -139,8 +130,7 @@ class JointKind(Enum):
     PLANAR = "planar"
 
 
-@dataclass(frozen=True)
-class JointLimit:
+class JointLimit(NamedTuple):
     """Motion limits; every field is None when its attribute is absent."""
 
     lower: float | None = None
@@ -149,8 +139,7 @@ class JointLimit:
     velocity: float | None = None
 
 
-@dataclass(frozen=True)
-class Joint:
+class Joint(NamedTuple):
     name: str
     kind: JointKind | None  # None when the type attribute is unrecognized
     type_name: str
@@ -163,8 +152,7 @@ class Joint:
     column: int = 0
 
 
-@dataclass(frozen=True)
-class Material:
+class Material(NamedTuple):
     name: str
     color_rgba: tuple[float, float, float, float] | None = None
     texture: str | None = None
@@ -174,8 +162,7 @@ class Material:
         return self.color_rgba is not None or self.texture is not None
 
 
-@dataclass(frozen=True)
-class ParseNotice:
+class ParseNotice(NamedTuple):
     """Non-fatal oddity found while parsing (unknown element, bad value)."""
 
     subject: str
@@ -184,8 +171,7 @@ class ParseNotice:
     column: int = 0
 
 
-@dataclass(frozen=True)
-class RobotModel:
+class RobotModel(NamedTuple):
     """One parsed URDF document, in document order.
 
     The raw model intentionally tolerates things the validator rejects

@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Hashable, Iterable, Sequence
+from typing import BinaryIO, Hashable, Iterable, NamedTuple, Sequence
 
 from .bundles import (MESH_EXTENSIONS, NAME_TERMS, ContactMarkers, LicenseId, MeshInventory,
                       StructureClass)
@@ -25,18 +24,25 @@ __all__ = ["ReportTable", "emit", "write_tables"]
 Cell = str | int | float | bool | None
 
 
-@dataclass(frozen=True)
-class ReportTable:
+class _Table(NamedTuple):
     name: str
     columns: tuple[str, ...]
     rows: tuple[tuple[Cell, ...], ...]
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
+
+class ReportTable(_Table):
+    """A named table; each row has one cell per column, else ``ValueError``."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, columns: tuple[str, ...],
+                rows: tuple[tuple[Cell, ...], ...]) -> ReportTable:
+        for row in rows:
+            if len(row) != len(columns):
                 raise ValueError(
-                    f"table '{self.name}': row of length {len(row)} "
-                    f"does not match {len(self.columns)} columns")
+                    f"table '{name}': row of length {len(row)} "
+                    f"does not match {len(columns)} columns")
+        return super().__new__(cls, name, columns, rows)
 
 
 def _csv_cell(value: Cell) -> str:

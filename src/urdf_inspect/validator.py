@@ -17,7 +17,7 @@ a file it cannot read as F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .kinematics import _joint_graph
 from .model import JointKind, ParseFailure, RobotModel, parse_urdf
@@ -28,8 +28,7 @@ ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     code: str  # "A".."F", "W_UNDEFINED_MATERIAL", "W_OTHER"
     subject: str
@@ -38,12 +37,11 @@ class Diagnostic:
     column: int = 0
 
 
-@dataclass
-class ValidationResult:
+class ValidationResult(NamedTuple):
     """Model is present iff no error-severity diagnostic was found."""
 
     model: RobotModel | None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic]
 
     def error_codes(self) -> list[str]:
         return [d.code for d in self.diagnostics if d.severity == ERROR]

@@ -81,6 +81,35 @@ class TestScanCorpus:
         assert [(r.urdf_path, r.notices) for r in scan_corpus(root) if r.source_name == "s1"] == [
             (Path(), (notice.format(location=location),))]
 
+    @pytest.mark.parametrize("location", [
+        "linked/robot.urdf", ".hidden/robot.urdf", "urdf/../linked/robot.urdf",
+        "linked/../urdf/robot.urdf",  # lands in urdf/ by its spelling, but the link goes elsewhere
+    ])
+    def test_urdf_location_through_a_hidden_or_linked_directory_is_not_read(
+            self, tmp_path, location):
+        (tmp_path / "outside" / "urdf").mkdir(parents=True)
+        (tmp_path / "outside" / "urdf" / "robot.urdf").write_text(simple_urdf())
+        bundle = write_source(tmp_path / "corpus", "s1") / "b"
+        for folder in ("urdf", ".hidden"):
+            (bundle / folder).mkdir(parents=True)
+            (bundle / folder / "robot.urdf").write_text(simple_urdf())
+        symlink(tmp_path / "outside" / "urdf", bundle / "linked")
+        (bundle / "meta-information.json").write_text(
+            json.dumps({"name": "r", "urdf-location": location}))
+        records = scan_corpus(tmp_path / "corpus", [])
+        assert [(r.urdf_path, r.notices) for r in records if r.robot_name] == [(Path(), (
+            f"URDF location '{location}' passes through a hidden or linked directory",))]
+
+    @pytest.mark.parametrize("location", ["urdf/robot.urdf", "./urdf/../urdf/robot.urdf"])
+    def test_urdf_location_through_entered_directories_is_read(self, tmp_path, location):
+        bundle = write_source(tmp_path / "corpus", "s1") / "b"
+        (bundle / "urdf").mkdir(parents=True)
+        (bundle / "urdf" / "robot.urdf").write_text(simple_urdf())
+        (bundle / "meta-information.json").write_text(
+            json.dumps({"name": "r", "urdf-location": location}))
+        assert [(r.urdf_path, r.notices) for r in scan_corpus(tmp_path / "corpus")] == [
+            (Path(location), ())]
+
     @pytest.mark.parametrize("kind", ["fifo", "directory"])
     def test_described_path_that_is_not_a_file_is_one_record(self, small_corpus, kind):
         path = small_corpus / "alpha" / "planar_description" / "urdf" / "planar.urdf"

@@ -463,8 +463,7 @@ class TestScanCommand:
             assert capsys.readouterr().err.splitlines() == warning
         tables = sorted(p.name for p in outs[0].iterdir())
         assert tables == sorted(p.name for p in outs[1].iterdir())
-        # a linked layout folder's URDF is still read through the link: other tables differ
-        for name in ["structures.csv"] if layout else tables:
+        for name in tables:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     @pytest.mark.parametrize("command", ["scan", "compare", "dupes", "stats"])
@@ -701,6 +700,58 @@ def test_no_command_loads_numpy(small_corpus, tmp_path, command):
     if command in ("scan", "compare"):  # the shared robot still gets an FK verdict
         header, row = read_csv(out / "discrepancies.csv")
         assert dict(zip(header, row))["fk"] == "false"
+
+
+def test_one_robot_with_odd_graph_copies_in_a_second_source(tmp_path):
+    # one robot in two sources: a tree in s1, and in s2 three copies build_tree rejects
+    root = tmp_path / "corpus"
+    write_bundle(write_source(root, "s1"), "arm_description", simple_urdf("arm"), robot_name="arm")
+    s2 = write_source(root, "s2")
+
+    def fixed(name, parent, child):
+        return (f'<joint name="{name}" type="fixed"><parent link="{parent}"/>'
+                f'<child link="{child}"/></joint>')
+    copies = {
+        "arm_multiroot": simple_urdf("arm", extra='<link name="extra"/>'),
+        "arm_cycle": '<robot name="arm"><link name="a"/><link name="b"/>'
+                     f'{fixed("ab", "a", "b")}{fixed("ba", "b", "a")}</robot>',
+        "arm_diamond": '<robot name="arm">'
+                       + "".join(f'<link name="{n}"/>' for n in ("base", "left", "right", "tip"))
+                       + fixed("bl", "base", "left") + fixed("br", "base", "right")
+                       + fixed("lt", "left", "tip") + fixed("rt", "right", "tip") + "</robot>",
+    }
+    for dirname, urdf in copies.items():
+        write_bundle(s2, dirname, urdf, robot_name="arm")
+    out = tmp_path / "reports"
+    assert run_cli(["--out", str(out), "scan", str(root)]) == 0
+    assert read_csv(out / "parsing_errors.csv") == [
+        ["file", "severity", "code", "subject", "line", "message"],
+        ["s2/arm_cycle", "warning", "W_OTHER", "arm", "0", "joint graph contains a cycle"],
+        ["s2/arm_diamond", "warning", "W_OTHER", "tip", "0",
+         "link 'tip' is the child of several joints"],
+        ["s2/arm_multiroot", "warning", "W_OTHER", "base, extra", "0",
+         "2 root links (no unique base)"]]
+    assert read_csv(out / "discrepancies.csv") == [
+        ["robot", "manufacturer", "type", "sources", "joints", "links", "cad", "fk", "lines",
+         "any", "any_excl_lines"],
+        ["arm", "Acme", "robotic arm", "s1;s2", "true", "true", "false", "incomparable", "true",
+         "true", "true"]]
+
+
+@pytest.mark.parametrize("command", ["scan", "compare", "stats", "dupes", "validate", "inspect"])
+def test_no_command_imports_dataclasses(small_corpus, tmp_path, command):
+    # importing dataclasses and generating its classes' methods adds 30-40 ms to a start-up
+    target = small_corpus / "alpha/planar_description/urdf/planar.urdf" \
+        if command == "inspect" else small_corpus
+    script = ("import sys\n"
+              "from urdf_inspect.cli import run_cli\n"
+              f"code = run_cli(['--out', {str(tmp_path / 'reports')!r}, {command!r}, "
+              f"{str(target)!r}])\n"
+              "print(code, 'dataclasses' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(urdf_inspect.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize("bounds", [("inf", "inf"), ("-inf", "-inf")])
