@@ -4,10 +4,10 @@ Every file is read by one call, ``read(path, offset, size)``: it opens,
 reads and closes the file, and returns the stat it took with the bytes.
 Only regular files are read: anything else fails at once, so a named
 pipe cannot block a run.  No hidden directory (``.*``) and no linked one
-is entered (``enters``), at the corpus root as below it; a linked one is
-listed and named instead.  Each directory that cannot be listed or is
-linked is named once per run on stderr, as ``warning: cannot list DIR:
-REASON``; an ``OSError``'s reason is its ``strerror``, else its message.
+is entered, at the corpus root as below it; a linked one is listed and
+named instead.  Each directory that cannot be listed or is linked is
+named once per run on stderr, as ``warning: cannot list DIR: REASON``;
+an ``OSError``'s reason is its ``strerror``, else its message.
 """
 
 from __future__ import annotations
@@ -56,20 +56,13 @@ def read(path: Path | str, offset: int = 0, size: int = -1) -> tuple[os.stat_res
         return st, fh.read(left if size < 0 else min(size, left))
 
 
-def enters(directory: Path | str) -> bool:
-    """Whether a walk enters ``directory``: not a hidden one, nor a linked one."""
-    return not os.path.basename(directory).startswith(".") and not os.path.islink(directory)
-
-
 def _entered(top: str, dirs: list[str], onerror) -> list[str]:
-    """The names among ``dirs``, directories in ``top``, that ``enters``
-    enters; each linked one is named to ``onerror``."""
-    entered = []
-    for name in dirs:
-        if enters(os.path.join(top, name)):
-            entered.append(name)
-        elif not name.startswith("."):
-            onerror(OSError(None, "linked directory, not followed", os.path.join(top, name)))
+    """The names among ``dirs``, directories in ``top``, that are entered:
+    not hidden ones, nor linked ones, each named to ``onerror``."""
+    entered = [d for d in dirs if not d.startswith(".")]
+    for link in [d for d in entered if os.path.islink(os.path.join(top, d))]:
+        onerror(OSError(None, "linked directory, not followed", os.path.join(top, link)))
+        entered.remove(link)
     return entered
 
 

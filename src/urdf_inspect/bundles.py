@@ -5,7 +5,7 @@ A corpus root holds one directory per source, which names it; its
 files describe its robots.  A bundle is the directory holding a meta file
 plus the URDF and mesh files it describes.  Each record is named uniquely
 in its source: by its metadata id when that is unique there, else by its
-URDF's path below the source directory.
+URDF's listed path below the source directory, or its bundle's if none.
 
 Every file is read, and every directory listed, by the rules of ``_fs``.
 ``scan_corpus`` walks each source twice; one more ``_fs.walk`` of the
@@ -139,11 +139,12 @@ def _load_json(path: Path):
 
 
 def _record(source: tuple[str, Path], bundle_dir: Path, urdf_path: Path,
-            entry: dict | None, *notices: str) -> BundleRecord:
-    """The record of one URDF, first named by its path below ``source`` (URL, directory);
-    ``entry`` is its meta entry, or None for none, and then the path is its id."""
+            entry: dict | None, *notices: str, listed: str = "") -> BundleRecord:
+    """The record of one URDF, first named by the path below ``source`` (URL, directory) of
+    ``listed``, its URDF's listed name, else of ``bundle_dir``; ``entry`` is its meta entry,
+    or None for none, and then that name is its id."""
     source_url, source_dir = source
-    name = (bundle_dir.relative_to(source_dir) / urdf_path).as_posix()
+    name = (Path(listed) if listed else bundle_dir).relative_to(source_dir).as_posix()
     entry = {"id": name} if entry is None else entry
     return BundleRecord(
         id=_meta(entry, "id", ""),
@@ -160,20 +161,6 @@ def _record(source: tuple[str, Path], bundle_dir: Path, urdf_path: Path,
     )
 
 
-def _passed(bundle_dir: Path, rel: str) -> list[str]:
-    """The directories that the location ``rel`` in ``bundle_dir`` passes
-    through, in order.  A ``..`` is taken lexically, which is where the
-    system takes it as long as no directory before it is a link."""
-    passed, at = [], str(bundle_dir)
-    for part in Path(rel).parts[:-1]:
-        if part == os.pardir:
-            at = os.path.dirname(at)
-        else:
-            at = os.path.join(at, part)
-            passed.append(at)
-    return passed
-
-
 def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[BundleRecord]:
     """Walk a corpus tree and return one record per described URDF.
 
@@ -185,14 +172,16 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
     only when it is a boolean; anything else reads as a missing key, the
     flag as false.  Sources and files are found by the rules of ``_fs``,
     so a hidden or linked source gives no record; a source is named by its
-    directory.  A URDF location that is absolute or leads out of the source
-    directory gives no URDF path and the notice ``URDF location 'X' is
-    outside the source``; one that leads to the bundle directory itself
-    counts as no location; one that passes through a directory that
-    ``_fs.enters`` does not enter gives no URDF path and the notice ``URDF
-    location 'X' passes through a hidden or linked directory``.  Output is
-    ordered by (source, id, urdf path) and stable, and each record is named
-    as above.
+    directory.  A bundle's URDF is a ``*.urdf`` entry that the walk of its
+    source lists, known by its real path, and only the first entry that
+    names it, meta files in path order, then list order, gets it as its
+    URDF path.  An empty location, or one that leads to the bundle
+    directory itself, gives no URDF path and the notice ``metadata gives
+    no URDF location``; any other that gets no URDF the notice ``URDF
+    location 'X' names no URDF listed in the source`` or ``... names a URDF
+    an earlier entry describes``.  Each listed URDF that no entry gets is a
+    record of its own, once.  Output is ordered by (source, id, urdf path)
+    and stable, and each record is named as above.
     """
     records: list[BundleRecord] = []
     for source_dir in _fs.sources(_fs.corpus_root(root), errors):
@@ -200,9 +189,12 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
         info = info if isinstance(info, dict) else {}
         source = (_meta(info, "url", ""), source_dir)
 
-        described: set[str] = set()  # real paths: a symlink loop has one, where resolve() raises
-        source_records: list[BundleRecord] = []
         meta_paths = _fs.walk(source_dir, META_INFO, errors).paths
+        listed: dict[str, str] = {}  # real path -> first listed name: a symlink loop has one
+        for path in _fs.walk(source_dir, "*.urdf", errors).paths:
+            listed.setdefault(os.path.realpath(path), path)
+        described: set[str] = set()  # the real paths that an entry has taken
+        source_records: list[BundleRecord] = []
         for meta_path in sorted(map(Path, meta_paths)):
             bundle_dir = meta_path.parent
             data = _load_json(meta_path)
@@ -212,25 +204,25 @@ def scan_corpus(root: Path | str, errors: list[OSError] | None = None) -> list[B
                                               f"unreadable {META_INFO}"))
             for entry in entries:
                 rel = _meta(entry, "urdf", "")
-                urdf_path, notices = Path(rel), []
-                in_source = os.path.normpath(os.path.join(bundle_dir.relative_to(source_dir), rel))
-                if os.path.isabs(rel) or in_source.split(os.sep)[0] == os.pardir:
-                    urdf_path, notices = Path(), [f"URDF location '{rel}' is outside the source"]
-                elif os.path.normpath(rel) == os.curdir:  # also when empty
-                    urdf_path, notices = Path(), ["metadata gives no URDF location"]
-                elif not all(map(_fs.enters, _passed(bundle_dir, rel))):
-                    urdf_path, notices = Path(), [
-                        f"URDF location '{rel}' passes through a hidden or linked directory"]
-                elif not os.path.lexists(bundle_dir / rel):
-                    notices.append(f"described URDF '{rel}' not found on disk")
+                try:
+                    real = os.path.realpath(bundle_dir / rel)
+                except ValueError:  # a NUL, or a surrogate no file name encodes: never listed
+                    real = ""
+                if os.path.normpath(rel) == os.curdir:  # also when empty
+                    notice = "metadata gives no URDF location"
+                elif real in described or real not in listed:
+                    notice = f"URDF location '{rel}' names " + (
+                        "a URDF an earlier entry describes" if real in described
+                        else "no URDF listed in the source")
                 else:  # even when not a regular file or a dangling link: reading it gives the F row
-                    described.add(os.path.realpath(bundle_dir / rel))
-                source_records.append(_record(source, bundle_dir, urdf_path, entry, *notices))
-
-        for urdf in sorted(map(Path, _fs.walk(source_dir, "*.urdf", errors).paths)):
-            if os.path.realpath(urdf) not in described:
-                source_records.append(_record(source, urdf.parent, Path(urdf.name), None,
-                                              f"no {META_INFO} describes this file"))
+                    described.add(real)
+                    source_records.append(_record(source, bundle_dir, Path(rel), entry,
+                                                  listed=listed[real]))
+                    continue
+                source_records.append(_record(source, bundle_dir, Path(), entry, notice))
+        source_records += [_record(source, Path(path).parent, Path(os.path.basename(path)), None,
+                                   f"no {META_INFO} describes this file", listed=path)
+                           for real, path in listed.items() if real not in described]
 
         count = Counter(r.id for r in source_records if r.id)  # a unique id names its record
         source_records = [

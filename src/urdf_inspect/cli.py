@@ -159,9 +159,8 @@ def _load_entry(record: BundleRecord) -> tuple[_Entry, RobotModel | None, str | 
     """Analyze one bundle's URDF into its entry, with every fact, its model and its text
     (None when not read)."""
     raw, model, diags = None, None, []
-    urdf = record.urdf_file
-    if record.urdf_path != Path() and os.path.lexists(urdf):  # a dangling link gives an F row
-        raw, model, diags = _analyze(urdf)
+    if record.urdf_path != Path():  # a listed URDF, even a dangling link: it gives an F row
+        raw, model, diags = _analyze(record.urdf_file)
     text = banner = contact = meshes = name_terms = size = None
     if raw is not None:
         text = raw.decode("utf-8", errors="replace")

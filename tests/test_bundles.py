@@ -62,9 +62,12 @@ class TestScanCorpus:
         assert records[0].notices
 
     @pytest.mark.parametrize("location, notice", [
-        ("{tmp}/outside/robot.urdf", "URDF location '{location}' is outside the source"),
-        ("../../../outside/robot.urdf", "URDF location '{location}' is outside the source"),
-        ("../../s2/b/urdf/robot.urdf", "URDF location '{location}' is outside the source"),
+        ("{tmp}/outside/robot.urdf",
+         "URDF location '{location}' names no URDF listed in the source"),
+        ("../../../outside/robot.urdf",
+         "URDF location '{location}' names no URDF listed in the source"),
+        ("../../s2/b/urdf/robot.urdf",
+         "URDF location '{location}' names no URDF listed in the source"),
         (".", "metadata gives no URDF location"),
         ("urdf/..", "metadata gives no URDF location"),  # the bundle directory itself
     ], ids=["absolute", "out-of-root", "other-source", "dot", "bundle-dir"])
@@ -98,7 +101,7 @@ class TestScanCorpus:
             json.dumps({"name": "r", "urdf-location": location}))
         records = scan_corpus(tmp_path / "corpus", [])
         assert [(r.urdf_path, r.notices) for r in records if r.robot_name] == [(Path(), (
-            f"URDF location '{location}' passes through a hidden or linked directory",))]
+            f"URDF location '{location}' names no URDF listed in the source",))]
 
     @pytest.mark.parametrize("location", ["urdf/robot.urdf", "./urdf/../urdf/robot.urdf"])
     def test_urdf_location_through_entered_directories_is_read(self, tmp_path, location):
@@ -141,6 +144,43 @@ class TestScanCorpus:
         symlink(target, source / "x.urdf")
         assert [(r.id, r.notices) for r in scan_corpus(tmp_path / "corpus")] == [
             ("x.urdf", ("no meta-information.json describes this file",))]
+
+    def test_urdf_listed_under_two_names_is_one_orphan(self, tmp_path):
+        source = write_source(tmp_path / "corpus", "solo")
+        (source / "robot.urdf").write_text(simple_urdf())
+        symlink("robot.urdf", source / "alias.urdf")  # the first listed name names it
+        assert [(r.id, r.urdf_path, r.notices) for r in scan_corpus(tmp_path / "corpus")] == [
+            ("alias.urdf", Path("alias.urdf"), ("no meta-information.json describes this file",))]
+
+    @pytest.mark.parametrize("location", ["urdf/robot.urdf", "urdf/alias.urdf",
+                                          "../b/urdf/robot.urdf", "urdf/../urdf/robot.urdf"])
+    def test_a_urdf_goes_to_the_first_entry_that_names_it(self, tmp_path, location):
+        bundle = write_bundle(write_source(tmp_path / "corpus", "solo"), "b", simple_urdf(),
+                              robot_name="robot")
+        symlink("robot.urdf", bundle / "urdf" / "alias.urdf")
+        (bundle / "meta-information.json").write_text(json.dumps(
+            [{"name": "first", "urdf-location": "urdf/robot.urdf"},
+             {"name": "second", "urdf-location": location}]))
+        records = scan_corpus(tmp_path / "corpus")
+        assert [(r.robot_name, r.urdf_path, r.notices) for r in records] == [
+            ("second", Path(), (f"URDF location '{location}' names a URDF an earlier entry "
+                                "describes",)),
+            ("first", Path("urdf/robot.urdf"), ())]
+        assert [r.name for r in records] == ["b", "b/urdf/alias.urdf"]  # the first listed name
+
+    @pytest.mark.parametrize("location", ["{bundle}/urdf/robot.urdf", "../b/urdf/robot.urdf",
+                                          "linked/robot.urdf"])
+    def test_a_described_urdf_is_named_by_its_listed_path(self, tmp_path, location):
+        bundle = write_source(tmp_path / "corpus", "solo") / "b"
+        (bundle / "urdf").mkdir(parents=True)
+        (bundle / "urdf" / "robot.urdf").write_text(simple_urdf())
+        symlink("urdf", bundle / "linked")  # a link into the source
+        location = location.format(bundle=bundle)  # read, and still named by no absolute path
+        (bundle / "meta-information.json").write_text(
+            json.dumps({"name": "r", "urdf-location": location}))
+        records = scan_corpus(tmp_path / "corpus", [])
+        assert [(r.urdf_path, r.name, r.notices) for r in records] == [
+            (Path(location), "b/urdf/robot.urdf", ())]
 
     def test_key_aliases_tolerated(self, tmp_path):
         source = write_source(tmp_path / "corpus", "solo")
@@ -200,7 +240,7 @@ class TestScanCorpus:
         assert (record.robot_name, record.robot_type, record.manufacturer, record.id,
                 record.urdf_path, record.source_url) == (
             want("name", ""), want("type", ""), want("manufacturer", ""), want("id", ""),
-            Path(want("urdf-location", "")), want("url", "https://example.org/solo"))
+            Path(), want("url", "https://example.org/solo"))  # the source lists no URDF
 
     def test_first_alias_holding_text_wins(self, tmp_path):
         bundle = write_source(tmp_path / "corpus", "solo") / "b"

@@ -920,6 +920,79 @@ def test_no_urdf_location_outside_the_root_is_read(tmp_path, monkeypatch):
         ["file", "severity", "code", "subject", "line", "message"]]
 
 
+def _arm_pair(source: Path, meta_id: str | None = None) -> Path:
+    """A bundle whose one invalid URDF the two entries of its meta list, arm
+    and arm2, both name, with ``meta_id`` as their id, none when None."""
+    bundle = source / "arm_description"
+    for folder in ("urdf", "meshes"):
+        (bundle / folder).mkdir(parents=True)
+    (bundle / "urdf" / "robot.urdf").write_text('<robot><link name="a"/></robot>')
+    (bundle / "meta-information.json").write_text(json.dumps(
+        [{"name": name, "type": "robotic arm", "urdf-location": "urdf/robot.urdf",
+          **({} if meta_id is None else {"id": meta_id})} for name in ("arm", "arm2")]))
+    return bundle
+
+
+@pytest.mark.parametrize("meta_id", [None, "x"])
+def test_a_urdf_two_entries_name_loads_once(tmp_path, monkeypatch, meta_id):
+    root = tmp_path / "corpus"
+    bundle = _arm_pair(write_source(root, "src1"), meta_id)
+    analyzed, analyze = [], cli._analyze
+    monkeypatch.setattr(cli, "_analyze", lambda path: analyzed.append(path) or analyze(path))
+    assert run_cli(["--out", str(tmp_path / "out"), "scan", str(root)]) == 0
+    assert analyzed == [bundle / "urdf" / "robot.urdf"]
+    assert read_csv(tmp_path / "out" / "parsing_errors.csv")[1:] == [
+        ["src1/arm_description/urdf/robot.urdf", "error", "D", "robot", "1",
+         "no name given for robot"]]
+    arm2 = next(r for r in bundles.scan_corpus(root) if r.robot_name == "arm2")
+    assert (arm2.name, arm2.urdf_path, arm2.notices[0]) == (
+        "arm_description", Path(),
+        "URDF location 'urdf/robot.urdf' names a URDF an earlier entry describes")
+
+
+def test_rare_row_kinds_in_one_corpus(tmp_path):
+    s1 = write_source(tmp_path / "corpus", "s1")
+    _arm_pair(s1)  # one URDF that two entries name
+    gone = write_bundle(s1, "gone_description", simple_urdf("gone"), robot_name="gone")
+    (gone / "urdf" / "gone.urdf").unlink()  # a missing described URDF
+    (s1 / "broken_description").mkdir()
+    (s1 / "broken_description" / "meta-information.json").write_text("{")  # unreadable
+    write_bundle(s1, "twin_a_description", simple_urdf("twin", visual_mesh="meshes/m.stl"),
+                 robot_name="twin", bundle_id="twin", xacro=True)  # an id repeated ...
+    write_bundle(s1, "twin_b_description", '<robot><link name="a"/></robot>', robot_name="twin",
+                 bundle_id="twin")  # ... in the next bundle
+    (s1 / "loose").mkdir()  # an orphan URDF, and one whose file name is not UTF-8
+    (s1 / "loose" / "extra.urdf").write_text(XACRO_BANNER + simple_urdf(
+        "extra", collision_mesh="hull.dae"))
+    (s1 / "loose" / os.fsdecode(b"\xffodd.urdf")).write_text("<robot><link>")
+    out = tmp_path / "out"
+    assert run_cli(["--out", str(out), "scan", str(tmp_path / "corpus")]) == 0
+    assert (out / "parsing_errors.csv").read_bytes() == (
+        b"file,severity,code,subject,line,message\r\n"
+        b"s1/arm_description/urdf/robot.urdf,error,D,robot,1,no name given for robot\r\n"
+        b"s1/loose/\\udcffodd.urdf,error,F,document,1,\"no element found: line 1, column 13\"\r\n"
+        b"s1/twin_b_description/urdf/twin.urdf,error,D,robot,1,no name given for robot\r\n")
+    assert (out / "xacro.csv").read_bytes() == (
+        b"source,by_us_using_xacro,by_others_using_xacro,by_others_without_xacro\r\n"
+        b"s1,1,1,3\r\ntotal,1,1,3\r\n")
+    assert (out / "structures.csv").read_bytes() == (
+        b"source,A,B,C,D,Other\r\ns1,4,0,0,0,4\r\ntotal,4,0,0,0,4\r\n")
+    assert (out / "mesh_types.csv").read_bytes() == (
+        b"source,usage,extension,bundles\r\n"
+        b"s1,visual,stl,1\r\ntotal,visual,stl,1\r\n"
+        b"s1,visual,dae,0\r\ntotal,visual,dae,0\r\n"
+        b"s1,visual,obj,0\r\ntotal,visual,obj,0\r\n"
+        b"s1,visual,other,0\r\ntotal,visual,other,0\r\n"
+        b"s1,visual,any,1\r\ntotal,visual,any,1\r\n"
+        b"s1,collision,stl,0\r\ntotal,collision,stl,0\r\n"
+        b"s1,collision,dae,1\r\ntotal,collision,dae,1\r\n"
+        b"s1,collision,obj,0\r\ntotal,collision,obj,0\r\n"
+        b"s1,collision,other,0\r\ntotal,collision,other,0\r\n"
+        b"s1,collision,any,1\r\ntotal,collision,any,1\r\n")
+    assert (out / "model_stats.csv").read_bytes() == (
+        b"robot_type,avg_links,avg_joints\r\nrobotic arm,2,1\r\n")
+
+
 def test_an_unread_urdf_counts_in_no_xacro_column(tmp_path):
     root = tmp_path / "corpus"
     s1 = write_source(root, "s1")

@@ -9,7 +9,10 @@ one fixed corpus that holds every odd entry at once, metadata nested too
 deep or holding a number too long to decode among them.  Two sources of
 2-4 invalid bundles whose metadata ids repeat check how ``parsing_errors``
 names a bundle, and the names that ``source-information.json`` files give
-check that every table names a source by its directory.
+check that every table names a source by its directory.  One-source trees
+holding hidden, aliased, linked and non-URDF entries, described by odd and
+repeated locations, check that a command analyzes only URDFs that the
+walk lists, each once.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import urdf_inspect
-from urdf_inspect import report
+from urdf_inspect import _fs, cli, report
 from urdf_inspect.bundles import classify_structure, detect_license, scan_corpus
 from urdf_inspect.cli import run_cli
 
@@ -419,3 +423,56 @@ def test_odd_entries_never_stop_a_run(odd_corpus, tmp_path, command):
     assert run.stderr.splitlines().count(
         f"warning: skipped unreadable {dangling}: No such file or directory") == (
         1 if command in ("scan", "dupes") else 0)
+
+
+ODD_FILES = ("alias", "hidden_file", "xml", "hidden_dir", "linked_in", "linked_out")
+LOCATIONS = ("urdf/robot.urdf", "urdf/alias.urdf", "urdf/.x.urdf", "urdf/robot.xml",
+             ".hid/robot.urdf", "linked_in/robot.urdf", "linked_out/robot.urdf",
+             "urdf/gone.urdf", "./urdf/../urdf/robot.urdf", "../b_description/urdf/robot.urdf",
+             "linked_in/../urdf/robot.urdf", "")
+
+
+def _odd_source(tmp: Path, odd: set[str], locations: list[list[str]]) -> Path:
+    """A one-source corpus of two bundles whose meta lists give ``locations``;
+    ``a_description`` also holds the entries named in ``odd``."""
+    root = Path(tmp, "corpus")
+    source = write_source(root, "s1")
+    for name, bundle_locations in zip(("a_description", "b_description"), locations):
+        bundle = write_bundle(source, name, simple_urdf(name), robot_name="robot")
+        (bundle / "meta-information.json").write_text(json.dumps(
+            [{"name": f"r{i}", "urdf-location": loc} for i, loc in enumerate(bundle_locations)]))
+    bundle, outside = source / "a_description", Path(tmp, "outside", "urdf")
+    outside.mkdir(parents=True)
+    (outside / "robot.urdf").write_text(simple_urdf("outside"))
+    for name in odd:
+        if name == "alias":  # a symlink beside its target
+            os.symlink("robot.urdf", bundle / "urdf" / "alias.urdf")
+        elif name in ("hidden_file", "xml", "hidden_dir"):
+            path = bundle / {"hidden_file": "urdf/.x.urdf", "xml": "urdf/robot.xml",
+                             "hidden_dir": ".hid/robot.urdf"}[name]
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("<robot><link>")
+        else:  # a linked folder into the corpus, or out of it
+            os.symlink("../b_description/urdf" if name == "linked_in" else outside, bundle / name)
+    return root
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+@properties
+@example({"hidden_file"}, [["urdf/.x.urdf"], []])  # listed by no walk
+@example({"xml"}, [["urdf/robot.xml"], []])
+@example(set(), [["urdf/robot.urdf", "./urdf/../urdf/robot.urdf"], []])  # one URDF, twice
+@given(st.sets(st.sampled_from(ODD_FILES)),
+       st.lists(st.lists(st.sampled_from(LOCATIONS), max_size=4), min_size=2, max_size=2))
+def test_every_analyzed_urdf_is_listed_and_analyzed_once(odd, locations):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = _odd_source(Path(tmp), odd, locations)
+        listed = {os.path.realpath(p) for p in _fs.walk(root, "*.urdf").paths}
+        for command in ("scan", "compare", "stats"):
+            analyzed, analyze = [], cli._analyze
+            with mock.patch.object(cli, "_analyze",
+                                   lambda path: analyzed.append(path) or analyze(path)):
+                _scan_tables(root, Path(tmp, command), command)
+            real = Counter(map(os.path.realpath, analyzed))
+            assert set(real) <= listed, command
+            assert all(count == 1 for count in real.values()), command
